@@ -11,7 +11,12 @@
 //     thousand ops/s/core of memcached/Redis-class stores [1, 5, 10, 24].
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace perfq::analysis {
 
@@ -84,6 +89,24 @@ struct AdmissionBudget {
   /// budget admits; the epsilon absorbs float noise from summed prices.
   [[nodiscard]] bool would_admit(double fraction) const {
     return used_die_fraction + fraction <= max_die_fraction + 1e-12;
+  }
+  /// The one admission decision: price a cache of `slots` entries holding
+  /// `key_bytes` keys with `state_dims` state words, and return that die
+  /// fraction if it fits the budget. Otherwise a ConfigError
+  /// "<prefix> exceeds the die-area budget (used% + price% > max%)". Does
+  /// not charge.
+  [[nodiscard]] double admit(std::uint64_t slots, int key_bytes,
+                             std::size_t state_dims,
+                             const std::string& prefix) const {
+    const double fraction = price(slots, bits_per_pair(key_bytes, state_dims));
+    if (!would_admit(fraction)) {
+      char frac[96];
+      std::snprintf(frac, sizeof(frac), "%.4f%% + %.4f%% > %.4f%%",
+                    used_die_fraction * 100.0, fraction * 100.0,
+                    max_die_fraction * 100.0);
+      throw ConfigError{prefix + " exceeds the die-area budget (" + frac + ")"};
+    }
+    return fraction;
   }
   void charge(double fraction) { used_die_fraction += fraction; }
   void release(double fraction) {

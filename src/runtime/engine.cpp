@@ -5,54 +5,53 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "runtime/collection.hpp"
 
 namespace perfq::runtime {
 
 QueryEngine::QueryEngine(compiler::CompiledProgram program, EngineConfig config)
-    : program_(std::move(program)),
-      config_(std::move(config)),
-      stream_(program_, config_) {
-  wire_verify_checksums_ = config_.verify_checksums;
+    : Engine(std::move(program), std::move(config)) {
   // Key-value store per on-switch GROUPBY.
-  for (const auto& plan : program_.switch_plans) {
-    kv::CacheGeometry geometry = config_.geometry;
-    if (const auto it = config_.per_query_geometry.find(plan.name);
-        it != config_.per_query_geometry.end()) {
-      geometry = it->second;
-    }
-    auto store = std::make_unique<kv::KeyValueStore>(
-        geometry, plan.kernel, config_.hash_seed, config_.eviction_policy);
-    auto core = std::make_unique<SwitchFoldCore>(plan, store->cache());
-    switches_.push_back(
-        SwitchInstance{&plan, std::move(store), std::move(core), nullptr, 0});
+  const auto& slots = resident_.slots();
+  for (std::size_t q = 0; q < slots.size(); ++q) {
+    const compiler::SwitchQueryPlan& plan = *slots[q].plan;
+    switches_.push_back(make_instance(q, plan, resident_.geometry_for(plan.name)));
   }
 }
 
-void QueryEngine::throw_if_faulted() const {
-  if (fault_.faulted()) fault_.raise();
+QueryEngine::SwitchInstance QueryEngine::make_instance(
+    std::size_t slot, const compiler::SwitchQueryPlan& plan,
+    const kv::CacheGeometry& geometry) const {
+  const EngineConfig& config = resident_.config();
+  auto store = std::make_unique<kv::KeyValueStore>(
+      geometry, plan.kernel, config.hash_seed, config.eviction_policy);
+  auto core = std::make_unique<SwitchFoldCore>(plan, store->cache());
+  return SwitchInstance{slot, std::move(store), std::move(core)};
+}
+
+const QueryEngine::SwitchInstance& QueryEngine::instance(
+    std::size_t slot) const {
+  for (const SwitchInstance& sw : switches_) {
+    if (sw.slot == slot) return sw;
+  }
+  throw InternalError{"QueryEngine: no store for a live slot"};
 }
 
 void QueryEngine::process_batch(std::span<const PacketRecord> records) {
-  throw_if_faulted();
-  check(!finished_, "QueryEngine: process after finish");
-  ++batches_;
-  const bool timed =
-      obs::kTelemetryEnabled &&
-      (records.size() >= obs::kAlwaysTimeBatch ||
-       (batch_tick_++ & obs::kSmallBatchSampleMask) == 0);
-  const std::uint64_t t0 = timed ? obs::now_ns() : 0;
+  resident_.enter("engine: process after finish");
+  const std::uint64_t t0 = resident_.begin_batch(records.size());
   // An exception escaping mid-batch (stream-sink callback, injected
   // failpoint, allocation) leaves some records folded and others not:
   // guarded() poisons the engine so the partial state can never be read.
-  guarded([&] { process_batch_impl(records); });
-  if (timed) batch_ns_.record(obs::now_ns() - t0);
+  resident_.guarded([&] { process_batch_impl(records); });
+  resident_.end_batch(t0);
 }
 
 template <typename Rec>
 void QueryEngine::process_chunk(std::span<const Rec> chunk) {
   const std::size_t n = chunk.size();
-  const bool streams = !stream_.empty();
+  StreamStage& stream = resident_.stream();
+  const bool streams = !stream.empty();
+  const bool refreshing = resident_.refreshing();
 
   // Pass 1: evaluate prefilters and extract every key (computing its
   // cached hash once), prefetching the owning cache bucket so its tag row
@@ -65,49 +64,35 @@ void QueryEngine::process_chunk(std::span<const Rec> chunk) {
   // prefetches above have no side effects, so ordering is preserved).
   for (std::size_t i = 0; i < n; ++i) {
     const Rec& rec = chunk[i];
-    if (config_.refresh_interval > Nanos{0}) {
-      if (next_refresh_ == Nanos{0}) {
-        next_refresh_ = rec.tin + config_.refresh_interval;
-      }
-      if (rec.tin >= next_refresh_) {
-        // Periodic backing-store refresh (§3.2): exact for linear folds,
-        // and non-linear folds record one more segment (accounted in
-        // accuracy).
-        for (auto& sw : switches_) sw.store->flush(rec.tin);
-        ++refreshes_;
-        next_refresh_ = rec.tin + config_.refresh_interval;
-      }
+    if (refreshing && resident_.due(rec.tin)) {
+      // Periodic backing-store refresh (§3.2): exact for linear folds, and
+      // non-linear folds record one more segment (accounted in accuracy).
+      for (auto& sw : switches_) sw.store->flush(rec.tin);
     }
     for (auto& sw : switches_) sw.core->fold(i, rec);
-    if (streams) stream_.observe(rec);
+    if (streams) stream.observe(rec);
   }
 }
 
 void QueryEngine::process_batch_impl(std::span<const PacketRecord> records) {
-  records_ += records.size();
+  resident_.add_records(records.size());
   for (std::size_t base = 0; base < records.size(); base += kBatchChunk) {
     const std::size_t n = std::min(kBatchChunk, records.size() - base);
     process_chunk(records.subspan(base, n));
   }
   // Stream rows buffered above leave the engine here: one delivery per
   // process_batch call (the sink batch-boundary contract).
-  if (!stream_.empty()) stream_.deliver();
+  if (!resident_.stream().empty()) resident_.stream().deliver();
 }
 
 trace::IngestStats QueryEngine::process_wire_batch(
     std::span<const FrameObservation> frames) {
-  throw_if_faulted();
-  check(!finished_, "QueryEngine: process after finish");
-  ++batches_;
-  const bool timed =
-      obs::kTelemetryEnabled &&
-      (frames.size() >= obs::kAlwaysTimeBatch ||
-       (batch_tick_++ & obs::kSmallBatchSampleMask) == 0);
-  const std::uint64_t t0 = timed ? obs::now_ns() : 0;
+  resident_.enter("engine: process after finish");
+  const std::uint64_t t0 = resident_.begin_batch(frames.size());
   trace::IngestStats stats;
-  guarded([&] { process_wire_batch_impl(frames, stats); });
+  resident_.guarded([&] { process_wire_batch_impl(frames, stats); });
   record_ingest(stats);
-  if (timed) batch_ns_.record(obs::now_ns() - t0);
+  resident_.end_batch(t0);
   return stats;
 }
 
@@ -118,11 +103,12 @@ void QueryEngine::process_wire_batch_impl(
   // same two-pass pipeline process_batch uses, repeat. Frame bytes are only
   // read twice per record: the header validation and the lazy field loads
   // the program actually performs.
+  const bool verify = resident_.config().verify_checksums;
   std::array<WireRecordView, kBatchChunk> views;
   std::size_t n = 0;
   for (const FrameObservation& frame : frames) {
     wire::ParseError err{};
-    if (wire::check_frame(frame.bytes, &err, wire_verify_checksums_) == 0) {
+    if (wire::check_frame(frame.bytes, &err, verify) == 0) {
       trace::count_parse_error(stats, err);
       continue;
     }
@@ -134,259 +120,130 @@ void QueryEngine::process_wire_batch_impl(
     }
   }
   if (n > 0) process_chunk(std::span<const WireRecordView>{views.data(), n});
-  records_ += stats.parsed;
-  if (!stream_.empty()) stream_.deliver();
+  resident_.add_records(stats.parsed);
+  if (!resident_.stream().empty()) resident_.stream().deliver();
 }
 
 void QueryEngine::finish(Nanos now) {
-  throw_if_faulted();
-  check(!finished_, "QueryEngine: finish called twice");
-  finished_ = true;
-  guarded([&] {
+  resident_.begin_finish();
+  resident_.guarded([&] {
     for (auto& sw : switches_) sw.store->flush(now);
-    materialize_switch_tables();
-    stream_.finish(tables_, attached_tables_);
-    for (std::size_t i = 0; i < program_.analysis.queries.size(); ++i) {
-      if (tables_.count(static_cast<int>(i)) > 0) continue;
-      run_collection_query(program_, static_cast<int>(i), tables_);
-    }
+    resident_.collect_results(
+        [&](std::size_t q) -> const kv::BackingStore& {
+          return instance(q).store->backing();
+        });
   });
 }
 
 void QueryEngine::attach_query(compiler::CompiledProgram program,
                                const AttachOptions& options) {
-  throw_if_faulted();
-  check(!finished_, "QueryEngine: attach after finish");
+  resident_.enter("engine: attach after finish");
   // Validation throws (ConfigError) before ANY state change: a rejected
   // attach leaves the engine exactly as it was.
-  const AttachKind kind = attachable_kind(program);
-  if (options.name.empty()) {
-    throw ConfigError{"attach: query name must not be empty"};
-  }
-  for (const auto& sw : switches_) {
-    if (sw.plan->name == options.name) {
-      throw ConfigError{"attach: query '" + options.name + "' already exists"};
-    }
-  }
-  if (stream_.has(options.name) ||
-      program_.analysis.query_index(options.name) >= 0) {
-    throw ConfigError{"attach: query '" + options.name + "' already exists"};
-  }
-  // The tenant owns its program; rename its result to the resident name.
-  auto owned = std::make_shared<compiler::CompiledProgram>(std::move(program));
-  owned->analysis.queries.back().def.result_name = options.name;
-  if (kind == AttachKind::kStreamSelect) {
-    std::lock_guard<std::mutex> lock(topology_mu_);
-    stream_.attach(std::move(owned), options.name, options.sink, config_,
-                   records_);
+  ResidentQueries::Tenant tenant = resident_.admit(std::move(program), options);
+  if (tenant.kind == AttachKind::kStreamSelect) {
+    resident_.attach_stream(std::move(tenant), options);
     return;
   }
-  compiler::SwitchQueryPlan& plan = owned->switch_plans.front();
-  plan.name = options.name;
-  kv::CacheGeometry geometry = config_.geometry;
-  if (const auto it = config_.per_query_geometry.find(options.name);
-      it != config_.per_query_geometry.end()) {
-    geometry = it->second;
-  }
-  if (options.geometry.has_value()) geometry = *options.geometry;
-  auto store = std::make_unique<kv::KeyValueStore>(
-      geometry, plan.kernel, config_.hash_seed, config_.eviction_policy);
-  auto core = std::make_unique<SwitchFoldCore>(plan, store->cache());
-  std::lock_guard<std::mutex> lock(topology_mu_);
-  switches_.push_back(SwitchInstance{&plan, std::move(store), std::move(core),
-                                     std::move(owned), records_});
+  SwitchInstance sw =
+      make_instance(resident_.slots().size(),
+                    tenant.program->switch_plans.front(), tenant.geometry);
+  const auto lock = resident_.topology_lock();
+  resident_.add_slot(std::move(tenant.program));
+  switches_.push_back(std::move(sw));
 }
 
 ResultTable QueryEngine::detach_query(std::string_view name, Nanos now) {
-  throw_if_faulted();
-  check(!finished_, "QueryEngine: detach after finish");
-  for (auto it = switches_.begin(); it != switches_.end(); ++it) {
-    if (it->plan->name != name) continue;
-    if (it->attached == nullptr) {
-      throw ConfigError{"detach: '" + std::string{name} +
-                        "' is a base-program query and cannot be detached"};
-    }
-    // End this one query's window: flush its cache slice, materialize the
-    // final table, then free everything the attach allocated. Resident
-    // queries' stores are untouched.
-    ResultTable table = guarded([&] {
-      it->store->flush(now);
-      return materialize_switch_table(*it->attached, *it->plan,
-                                      it->store->backing());
-    });
-    std::lock_guard<std::mutex> lock(topology_mu_);
-    switches_.erase(it);
-    return table;
-  }
-  if (stream_.has(name)) {
-    if (!stream_.has_attached(name)) {
-      throw ConfigError{"detach: '" + std::string{name} +
-                        "' is a base-program query and cannot be detached"};
-    }
-    std::lock_guard<std::mutex> lock(topology_mu_);
-    return guarded([&] { return stream_.detach(name); });
-  }
-  throw QueryError{"result",
-                   "detach: unknown query '" + std::string{name} + "'"};
+  resident_.enter("engine: detach after finish");
+  const std::size_t q = resident_.detach_target(name);
+  if (q == ResidentQueries::npos) return resident_.detach_stream(name);
+  const auto it = std::find_if(switches_.begin(), switches_.end(),
+                               [q](const SwitchInstance& sw) {
+                                 return sw.slot == q;
+                               });
+  // End this one query's window: flush its cache slice, materialize the
+  // final table, then free everything the attach allocated. Resident
+  // queries' stores are untouched.
+  ResultTable table = resident_.guarded([&] {
+    it->store->flush(now);
+    return resident_.materialize(q, it->store->backing());
+  });
+  const auto lock = resident_.topology_lock();
+  switches_.erase(it);
+  resident_.release(q);
+  return table;
+}
+
+kv::BackingStore QueryEngine::merged_copy(const SwitchInstance& sw,
+                                          Nanos now) const {
+  // The application pull (§3.2): overlay the live cache on a copy of the
+  // backing store through the ordinary exact-merge absorb — bit-for-bit what
+  // finish(now) would materialize, without disturbing either structure.
+  kv::BackingStore merged = sw.store->backing();
+  sw.store->cache().snapshot_into(
+      now, [&merged](kv::EvictedValue&& ev) { merged.absorb(ev); });
+  return merged;
 }
 
 EngineSnapshot QueryEngine::snapshot(std::string_view query_name, Nanos now) {
-  throw_if_faulted();
-  check(!finished_, "QueryEngine: snapshot after finish");
-  // Name resolution stays outside the fault machinery: an unknown query is a
-  // usage error, not an engine fault, and must not poison the engine.
-  for (auto& sw : switches_) {
-    if (sw.plan->name != query_name) continue;
-    // The application pull (§3.2): overlay the live cache on a copy of the
-    // backing store through the ordinary exact-merge absorb — bit-for-bit
-    // what finish(now) would materialize for this query, without disturbing
-    // either structure.
-    ++snapshots_;
-    const std::uint64_t t0 = obs::kTelemetryEnabled ? obs::now_ns() : 0;
-    return guarded([&] {
-      kv::BackingStore merged = sw.store->backing();
-      sw.store->cache().snapshot_into(
-          now, [&merged](kv::EvictedValue&& ev) { merged.absorb(ev); });
-      const compiler::CompiledProgram& prog =
-          sw.attached != nullptr ? *sw.attached : program_;
-      EngineSnapshot snap{materialize_switch_table(prog, *sw.plan, merged),
-                          records_, now};
-      if (obs::kTelemetryEnabled) snapshot_ns_.record(obs::now_ns() - t0);
-      return snap;
-    });
-  }
-  throw QueryError{"result", "snapshot: no on-switch GROUPBY named '" +
-                                 std::string{query_name} + "'"};
+  resident_.enter("engine: snapshot after finish");
+  const std::size_t q = resident_.switch_slot(query_name, "snapshot");
+  const std::uint64_t t0 = resident_.begin_pull();
+  return resident_.guarded([&] {
+    EngineSnapshot snap{resident_.materialize(q, merged_copy(instance(q), now)),
+                        resident_.records(), now};
+    resident_.end_pull(t0);
+    return snap;
+  });
 }
 
 kv::StoreExport QueryEngine::export_store(std::string_view query_name,
                                           Nanos now) {
-  throw_if_faulted();
-  // Name resolution stays outside the fault machinery, like snapshot().
-  for (auto& sw : switches_) {
-    if (sw.plan->name != query_name) continue;
-    return guarded([&] {
-      kv::StoreExport out;
-      out.query = std::string{query_name};
-      out.records = records_;
-      out.time = now;
-      if (finished_) {
-        // Caches already flushed by finish(); the backing store IS the result.
-        out.entries = sw.store->backing().export_entries();
-      } else {
-        // Mid-run: same record-boundary merge snapshot() performs.
-        kv::BackingStore merged = sw.store->backing();
-        sw.store->cache().snapshot_into(
-            now, [&merged](kv::EvictedValue&& ev) { merged.absorb(ev); });
-        out.entries = merged.export_entries();
-      }
-      return out;
-    });
-  }
-  throw QueryError{"result", "export_store: no on-switch GROUPBY named '" +
-                                 std::string{query_name} + "'"};
+  resident_.throw_if_faulted();
+  const std::size_t q = resident_.switch_slot(query_name, "export_store");
+  return resident_.guarded([&] {
+    const SwitchInstance& sw = instance(q);
+    kv::StoreExport out;
+    out.query = std::string{query_name};
+    out.records = resident_.records();
+    out.time = now;
+    // After finish() the caches are flushed and the backing store IS the
+    // result; mid-run, the same record-boundary merge snapshot() performs.
+    out.entries = resident_.finished()
+                      ? sw.store->backing().export_entries()
+                      : merged_copy(sw, now).export_entries();
+    return out;
+  });
 }
 
-void QueryEngine::materialize_switch_tables() {
-  for (auto& sw : switches_) {
-    if (sw.attached != nullptr) {
-      // Attached queries end with the window; their query indices belong to
-      // their own programs, so their tables file by name.
-      attached_tables_.emplace(
-          sw.plan->name,
-          materialize_switch_table(*sw.attached, *sw.plan, sw.store->backing()));
-    } else {
-      tables_.emplace(
-          sw.plan->query_index,
-          materialize_switch_table(program_, *sw.plan, sw.store->backing()));
-    }
-  }
-}
-
-const ResultTable* QueryEngine::find_table(int index) const {
-  return find_collection_table(tables_, index);
-}
-
-const ResultTable& QueryEngine::result() const {
-  throw_if_faulted();
-  check(finished_, "QueryEngine: result before finish");
-  const int last = static_cast<int>(program_.analysis.queries.size()) - 1;
-  const ResultTable* t = find_table(last);
-  check(t != nullptr, "QueryEngine: program result not materialized");
-  return *t;
-}
-
-const ResultTable& QueryEngine::table(std::string_view name) const {
-  throw_if_faulted();
-  check(finished_, "QueryEngine: table before finish");
-  if (const auto it = attached_tables_.find(name);
-      it != attached_tables_.end()) {
-    return it->second;
-  }
-  const int idx = program_.analysis.query_index(name);
-  if (idx < 0) {
-    throw QueryError{"result", "unknown table '" + std::string{name} + "'"};
-  }
-  const ResultTable* t = find_table(idx);
-  if (t == nullptr) {
-    throw QueryError{"result", "table '" + std::string{name} +
-                                   "' is a stream intermediate and was not "
-                                   "materialized"};
-  }
-  return *t;
+const kv::BackingStore& QueryEngine::slot_stats(std::size_t slot,
+                                                StoreStats& s) const {
+  const kv::KeyValueStore& store = *instance(slot).store;
+  s.cache = store.cache().stats();
+  return store.backing();
 }
 
 std::vector<StoreStats> QueryEngine::store_stats() const {
-  throw_if_faulted();
-  std::lock_guard<std::mutex> lock(topology_mu_);
-  return collect_store_stats();
-}
-
-std::vector<StoreStats> QueryEngine::collect_store_stats() const {
-  std::vector<StoreStats> out;
-  for (const auto& sw : switches_) {
-    StoreStats s;
-    s.name = sw.plan->name;
-    s.linearity = sw.plan->linearity;
-    s.cache = sw.store->cache().stats();
-    s.accuracy = sw.store->backing().accuracy();
-    s.backing_writes = sw.store->backing().writes();
-    s.backing_capacity_writes = sw.store->backing().capacity_writes();
-    s.keys = sw.store->backing().key_count();
-    s.attached = sw.attached != nullptr;
-    s.attach_records = sw.attach_records;
-    out.push_back(std::move(s));
-  }
-  return out;
+  return resident_.store_stats(
+      [this](std::size_t q, StoreStats& s) -> const kv::BackingStore& {
+        return slot_stats(q, s);
+      });
 }
 
 EngineMetrics QueryEngine::metrics() const {
-  EngineMetrics m;
-  m.engine = "serial";
-  m.records = records_;
-  m.batches = batches_;
-  m.refreshes = refreshes_;
-  m.snapshots = snapshots_;
-  m.faulted = fault_.faulted();
-  {
-    // Topology lock: attach/detach mutate switches_/stream_ entries on the
-    // caller thread; the element internals stay lock-free relaxed slots.
-    std::lock_guard<std::mutex> lock(topology_mu_);
-    m.queries = collect_store_stats();
-    stream_.collect(m.streams);
-  }
-  m.batch_ns = batch_ns_.snapshot();
-  m.snapshot_ns = snapshot_ns_.snapshot();
-  fill_driver_metrics(m);
-  return m;
+  return resident_.metrics(
+      "serial", [this](std::size_t q, StoreStats& s) -> const kv::BackingStore& {
+        return slot_stats(q, s);
+      });
 }
 
 const kv::KeyValueStore& QueryEngine::store(std::string_view query_name) const {
-  for (const auto& sw : switches_) {
-    if (sw.plan->name == query_name) return *sw.store;
+  const std::size_t q = resident_.find_switch(query_name);
+  if (q == ResidentQueries::npos) {
+    throw QueryError{"result",
+                     "no switch query named '" + std::string{query_name} + "'"};
   }
-  throw QueryError{"result",
-                   "no switch query named '" + std::string{query_name} + "'"};
+  return *instance(q).store;
 }
 
 }  // namespace perfq::runtime

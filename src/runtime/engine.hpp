@@ -1,40 +1,26 @@
-// The serial query engine — the single-threaded implementation of the
+// The serial query engine — the single-threaded fold pipeline behind the
 // unified Engine interface (runtime/engine_api.hpp).
 //
-// One QueryEngine hosts a compiled program: every on-switch GROUPBY gets a
-// programmable key-value store instance (src/kvstore) configured with the
-// chosen cache geometry; stream SELECT rows are delivered through the
-// pluggable StreamSink stage; finish() flushes all caches to the backing
-// stores and runs the collection-layer DAG (soft SELECTs, soft GROUPBYs over
-// aggregates, JOINs), producing the result tables the paper's applications
-// would pull — and snapshot() produces the same table for one query mid-run,
-// by merging the live cache contents over a copy of its backing store.
+// Every on-switch GROUPBY gets a programmable key-value store instance
+// (src/kvstore) with the chosen cache geometry, folded on the caller thread
+// by a SwitchFoldCore in two passes per chunk (key extraction + bucket
+// prefetch, then the fold). Mid-run pulls merge the live cache over a copy
+// of the query's backing store; finish() flushes every cache into its
+// backing store. Everything else — attach validation, the slot registry,
+// stream sinks, result tables, the refresh clock, telemetry and the
+// poisoned-state gate — is the shared resident-query layer (resident.hpp).
 //
 // Construct through runtime::EngineBuilder unless you specifically need the
 // concrete type (engine-internals tests, the switch-pipeline comparison).
-//
-// Failure domains: an exception escaping the fold/stream machinery mid-batch
-// (a stream-sink callback throw, an injected failpoint, allocation failure)
-// leaves the stores partially updated, so the engine poisons itself — the
-// fault is recorded in a FaultSlot and every subsequent call throws a
-// structured EngineFaultError instead of serving corrupt results. Same
-// contract as ShardedEngine (see engine_fault.hpp and engine_api.hpp).
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "runtime/engine_api.hpp"
-#include "runtime/engine_fault.hpp"
 #include "runtime/fold_core.hpp"
-#include "runtime/stream_stage.hpp"
-#include "runtime/table.hpp"
 
 namespace perfq::runtime {
 
@@ -63,13 +49,6 @@ class QueryEngine final : public Engine {
   /// called exactly once before reading results.
   void finish(Nanos now) override;
 
-  /// The program's primary result (its last query).
-  [[nodiscard]] const ResultTable& result() const override;
-
-  /// A named intermediate/final table ("R1"). Throws if unknown or stream-
-  /// only intermediate.
-  [[nodiscard]] const ResultTable& table(std::string_view name) const override;
-
   /// Mid-run pull: live cache merged over a copy of the query's backing
   /// store (exact for linear kernels; see the contract in engine_api.hpp).
   using Engine::snapshot;
@@ -95,16 +74,6 @@ class QueryEngine final : public Engine {
   /// metrics coherence contract).
   [[nodiscard]] EngineMetrics metrics() const override;
 
-  [[nodiscard]] const compiler::CompiledProgram& program() const override {
-    return program_;
-  }
-  [[nodiscard]] std::uint64_t records_processed() const override {
-    return records_;
-  }
-  [[nodiscard]] std::uint64_t refresh_count() const override {
-    return refreshes_;
-  }
-
   /// Direct access to a switch query's key-value store (tests, benches).
   [[nodiscard]] const kv::KeyValueStore& store(std::string_view query_name) const;
 
@@ -112,21 +81,17 @@ class QueryEngine final : public Engine {
   /// Records per prefetch chunk (the fold core's two-pass scratch size).
   static constexpr std::size_t kBatchChunk = SwitchFoldCore::kChunk;
 
+  /// One live switch query's store and fold core; detach erases it, so the
+  /// hot loops only ever see live queries.
   struct SwitchInstance {
-    const compiler::SwitchQueryPlan* plan;
+    std::size_t slot = 0;  ///< its index in the resident slot registry
     std::unique_ptr<kv::KeyValueStore> store;
     /// The reusable hot path (prefilter/extract/prefetch/fold) over the
     /// store's cache; shard workers run the same core (runtime/fold_core).
     /// Heap-owned so detach frees the core's scratch with the instance.
     std::unique_ptr<SwitchFoldCore> core;
-    /// Attached tenants own their compiled program (the plan pointer points
-    /// into it); null for base-program instances. Doubles as the attached
-    /// flag.
-    std::shared_ptr<const compiler::CompiledProgram> attached;
-    std::uint64_t attach_records = 0;  ///< attach epoch
   };
 
-  void materialize_switch_tables();
   void process_batch_impl(std::span<const PacketRecord> records);
   void process_wire_batch_impl(std::span<const FrameObservation> frames,
                                trace::IngestStats& stats);
@@ -135,55 +100,18 @@ class QueryEngine final : public Engine {
   /// semantics differ only in where field_value() reads from.
   template <typename Rec>
   void process_chunk(std::span<const Rec> chunk);
-  /// store_stats() minus the fault gate — metrics() must work when poisoned.
-  [[nodiscard]] std::vector<StoreStats> collect_store_stats() const;
-  [[nodiscard]] const ResultTable* find_table(int index) const;
-  /// Poisoned-state gate (see the file comment's failure-domain notes).
-  void throw_if_faulted() const;
-  /// Run `body` under the poisoned-state machinery: any escaping exception
-  /// other than an EngineFaultError is recorded as a kCaller fault and
-  /// rethrown structured.
-  template <typename Fn>
-  decltype(auto) guarded(Fn&& body) {
-    try {
-      return body();
-    } catch (const EngineFaultError&) {
-      throw;
-    } catch (const std::exception& e) {
-      fault_.record(ThreadRole::kCaller, kNoShard, e.what());
-      fault_.raise();
-    } catch (...) {
-      fault_.record(ThreadRole::kCaller, kNoShard, "unknown exception");
-      fault_.raise();
-    }
-  }
+  [[nodiscard]] SwitchInstance make_instance(
+      std::size_t slot, const compiler::SwitchQueryPlan& plan,
+      const kv::CacheGeometry& geometry) const;
+  [[nodiscard]] const SwitchInstance& instance(std::size_t slot) const;
+  /// The live cache merged over a copy of the backing store at `now`.
+  [[nodiscard]] kv::BackingStore merged_copy(const SwitchInstance& sw,
+                                             Nanos now) const;
+  /// Cache counters of one slot; returns its backing store (the shared
+  /// layer reads the rest of StoreStats from it).
+  const kv::BackingStore& slot_stats(std::size_t slot, StoreStats& s) const;
 
-  compiler::CompiledProgram program_;
-  EngineConfig config_;
   std::vector<SwitchInstance> switches_;
-  StreamStage stream_;
-  std::map<int, ResultTable> tables_;  ///< by query index
-  /// Final tables of queries still attached at finish(), by name (their
-  /// query indices belong to their own programs).
-  std::map<std::string, ResultTable, std::less<>> attached_tables_;
-  /// Guards the switches_/stream_ TOPOLOGY (attach/detach push_back/erase)
-  /// against metrics()/store_stats() readers on other threads. The hot path
-  /// never takes it: attach/detach are serialized with process_batch() by
-  /// the caller (engine_api.hpp lifecycle contract).
-  mutable std::mutex topology_mu_;
-  /// Telemetry slots (single writer: the caller thread; metrics() reads).
-  obs::RelaxedU64 records_;
-  obs::RelaxedU64 refreshes_;
-  obs::RelaxedU64 batches_;
-  obs::RelaxedU64 snapshots_;
-  std::uint32_t batch_tick_ = 0;  ///< sampling phase for small-batch timing
-  obs::LatencyHistogram batch_ns_;
-  obs::LatencyHistogram snapshot_ns_;
-  Nanos next_refresh_{0};
-  bool finished_ = false;
-  /// First-exception-wins poisoned state (single-threaded here, but the
-  /// same slot type the sharded engine shares across its threads).
-  FaultSlot fault_;
 };
 
 }  // namespace perfq::runtime

@@ -95,9 +95,8 @@
 //
 // metrics_to_json() / metrics_to_prometheus() (obs/metrics_export.hpp) render
 // the same enumeration of metrics — anything metrics() carries appears in
-// both, by construction. EngineBuilder::metrics_sampler(interval) wraps the
-// engine so a background thread appends EngineMetrics samples to a bounded
-// ring, readable via metrics_series().
+// both, by construction. obs::MetricsSampler (obs/sampler.hpp) polls
+// metrics() from a background thread into a bounded time series.
 //
 // ---- Query lifecycle contract (dynamic attach/detach) ----------------------
 //
@@ -105,7 +104,10 @@
 // mid-stream (the paper's §3.2 operating model — operators submit queries
 // while traffic flows), without stopping ingest and without perturbing the
 // queries already running. src/service/query_service.hpp is the intended
-// front end; the raw engine contract is:
+// front end. Both engines implement this contract through ONE shared layer,
+// runtime::ResidentQueries (resident.hpp): attach validation and geometry
+// resolution, the slot registry, the result tables, the refresh clock and
+// the fault gate. The raw engine contract is:
 //
 //   - attach_query(program, options) accepts a SINGLE-query compiled program:
 //     either one on-switch GROUPBY chain (exactly one switch plan, no
@@ -152,229 +154,22 @@
 //     QueryError — and do NOT poison the engine.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <optional>
 #include <span>
-#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "compiler/program.hpp"
 #include "kvstore/federated.hpp"
-#include "kvstore/kvstore.hpp"
-#include "obs/metrics.hpp"
 #include "packet/wire_view.hpp"
-#include "runtime/stream_sink.hpp"
-#include "runtime/table.hpp"
-#include "trace/ingest_stats.hpp"
+#include "runtime/engine_types.hpp"
+#include "runtime/resident.hpp"
 
 namespace perfq::runtime {
 
-/// Construction-time settings shared by both engines (EngineBuilder fills
-/// one; the sharded engine wraps it with its topology knobs).
-struct EngineConfig {
-  /// Cache geometry for every on-switch GROUPBY (overridable per query).
-  kv::CacheGeometry geometry = kv::CacheGeometry::set_associative(1u << 16, 8);
-  std::map<std::string, kv::CacheGeometry> per_query_geometry;
-  std::uint64_t hash_seed = 0x5eedcafe;
-  /// In-bucket replacement policy (the paper uses LRU).
-  kv::EvictionPolicy eviction_policy = kv::EvictionPolicy::kLru;
-  /// Cap on rows buffered by a *default* (table) stream sink. User-provided
-  /// sinks implement their own bounds.
-  std::size_t max_stream_rows = 1'000'000;
-  /// Periodically flush caches to the backing store while processing (§3.2:
-  /// "keys can be periodically evicted to ensure the backing store is
-  /// fresh, and monitoring applications can pull results"). Zero disables.
-  /// Thanks to the exact merge this is free of correctness cost for linear
-  /// queries; refresh_count() reports how many refreshes happened.
-  Nanos refresh_interval{0};
-  /// User stream sinks by query result name; stream SELECTs not named here
-  /// get a default TableStreamSink(max_stream_rows). Unknown names (or names
-  /// of non-stream queries) are a ConfigError at engine construction.
-  std::map<std::string, std::shared_ptr<StreamSink>> stream_sinks;
-  /// Opt-in IPv4 header checksum verification on the wire ingest path
-  /// (process_wire_batch). Off by default: software captures rarely carry
-  /// valid checksums (offload). Failures skip-and-count as bad_checksum.
-  bool verify_checksums = false;
-};
-
-/// Options for one dynamic attach (see the query lifecycle contract above).
-struct AttachOptions {
-  /// The resident name of the query — result table name, metrics label, and
-  /// the handle detach_query() takes. Must be unique among live queries.
-  std::string name;
-  /// Cache slice geometry for an on-switch GROUPBY tenant; falls back to the
-  /// engine's EngineConfig::geometry (then per_query_geometry by name).
-  std::optional<kv::CacheGeometry> geometry;
-  /// Sink for a stream-SELECT tenant; a default TableStreamSink if empty.
-  std::shared_ptr<StreamSink> sink;
-};
-
-/// How an attachable program folds: one on-switch GROUPBY with its own cache
-/// slice, or one stream SELECT delivered through a StreamSink.
-enum class AttachKind : std::uint8_t { kSwitchQuery, kStreamSelect };
-
-/// Classify a program for attach_query(). Attachable programs are single-
-/// result: either one on-switch GROUPBY chain (exactly one switch plan that
-/// IS the program's last query — upstream SELECTs are composed into the
-/// plan, nothing runs in the collection layer) or one unconsumed stream
-/// SELECT chain. Throws ConfigError for everything else — multi-result
-/// programs, collection-layer queries (joins, soft GROUPBYs, SELECTs over
-/// aggregate results) have no per-record resident form.
-[[nodiscard]] inline AttachKind attachable_kind(
-    const compiler::CompiledProgram& program) {
-  const auto& queries = program.analysis.queries;
-  if (queries.empty()) {
-    throw ConfigError{"attach: program has no queries"};
-  }
-  // Unconsumed stream SELECTs, by the same rule StreamStage applies.
-  std::vector<char> consumed(queries.size(), 0);
-  const auto mark = [&](int i) {
-    if (i >= 0 && static_cast<std::size_t>(i) < queries.size()) consumed[i] = 1;
-  };
-  for (const auto& q : queries) {
-    mark(q.input);
-    mark(q.left);
-    mark(q.right);
-  }
-  std::size_t stream_selects = 0;
-  int last_stream = -1;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto& q = queries[i];
-    if (q.def.kind == lang::QueryDef::Kind::kSelect &&
-        q.output.stream_over_base && consumed[i] == 0) {
-      ++stream_selects;
-      last_stream = static_cast<int>(i);
-    }
-  }
-  const int last = static_cast<int>(queries.size()) - 1;
-  if (program.switch_plans.size() == 1) {
-    if (program.switch_plans.front().query_index != last) {
-      throw ConfigError{
-          "attach: program runs a collection layer downstream of its GROUPBY; "
-          "attachable programs end at the on-switch aggregate"};
-    }
-    if (stream_selects != 0) {
-      throw ConfigError{
-          "attach: program mixes an on-switch GROUPBY with a stream SELECT; "
-          "attach them as separate queries"};
-    }
-    return AttachKind::kSwitchQuery;
-  }
-  if (program.switch_plans.empty() && stream_selects == 1 &&
-      last_stream == last) {
-    return AttachKind::kStreamSelect;
-  }
-  throw ConfigError{
-      "attach: program must be exactly one on-switch GROUPBY chain or one "
-      "stream SELECT"};
-}
-
-/// Per-switch-query statistics surfaced to the evaluation harnesses.
-struct StoreStats {
-  std::string name;
-  kv::Linearity linearity = kv::Linearity::kNotLinear;
-  kv::CacheStats cache;
-  kv::AccuracyStats accuracy;
-  std::uint64_t backing_writes = 0;
-  std::uint64_t backing_capacity_writes = 0;
-  std::size_t keys = 0;
-  bool attached = false;              ///< dynamically attached (vs base program)
-  std::uint64_t attach_records = 0;   ///< attach epoch (records seen before it)
-};
-
-/// A mid-run result pull, stamped with the record boundary it is exact at.
-struct EngineSnapshot {
-  ResultTable table;
-  std::uint64_t records = 0;  ///< records processed when the snapshot ran
-  Nanos time;                 ///< caller-supplied timestamp (epoch end stamp)
-};
-
-/// Per-stream-query delivery accounting (one per stream SELECT).
-struct StreamSinkMetrics {
-  std::string query;
-  std::uint64_t rows_delivered = 0;  ///< rows offered to the sink
-  std::uint64_t rows_dropped = 0;    ///< rows the sink discarded (bounded sinks)
-  bool saturated = false;            ///< sink hit its bound at least once
-  bool attached = false;             ///< dynamically attached (vs base program)
-  std::uint64_t attach_records = 0;  ///< attach epoch (records seen before it)
-};
-
-/// Per-shard pipeline accounting (sharded engine only).
-struct ShardMetrics {
-  std::size_t shard = 0;
-  std::uint64_t evictions_pushed = 0;    ///< evictions enqueued by the worker
-  std::uint64_t evictions_absorbed = 0;  ///< evictions merged by the merge thread
-  bool worker_exited = false;
-};
-
-/// Per-dispatcher accounting (sharded engine, dispatchers >= 2 only — with a
-/// single dispatcher the caller thread dispatches inline).
-struct DispatcherMetrics {
-  std::size_t dispatcher = 0;
-  std::uint64_t batches_posted = 0;
-  std::uint64_t batches_completed = 0;
-  bool exited = false;
-};
-
-/// One (dispatcher, shard) SPSC ring of the dispatch matrix.
-struct RingMetrics {
-  std::size_t dispatcher = 0;
-  std::size_t shard = 0;
-  std::uint64_t occupancy = 0;      ///< records queued right now (approximate)
-  std::uint64_t occupancy_hwm = 0;  ///< high-water mark of occupancy
-  std::uint64_t capacity = 0;
-  std::uint64_t push_stalls = 0;  ///< publishes that blocked on a full ring
-};
-
-/// The engine's self-telemetry: everything Engine::metrics() surfaces, as
-/// plain values (safe to ship across threads, serialize, diff). See the
-/// metrics coherence contract in the file comment.
-struct EngineMetrics {
-  std::string engine;  ///< "serial" or "sharded"
-
-  // Driver-level counters.
-  std::uint64_t records = 0;    ///< records accepted by process_batch()
-  std::uint64_t batches = 0;    ///< process_batch() calls
-  std::uint64_t refreshes = 0;  ///< periodic cache refreshes performed
-  std::uint64_t snapshots = 0;  ///< mid-run snapshot() pulls served
-  bool faulted = false;         ///< poisoned-state protocol engaged
-
-  // Per-query store stats (same shape store_stats() returns; valid mid-run).
-  std::vector<StoreStats> queries;
-  std::vector<StreamSinkMetrics> streams;
-
-  // Sharded pipeline state (empty on the serial engine).
-  std::vector<ShardMetrics> shards;
-  std::vector<DispatcherMetrics> dispatchers;
-  std::vector<RingMetrics> rings;
-  bool merge_exited = false;
-
-  // Latency histograms (log2-ns buckets; see obs::HistogramSnapshot).
-  obs::HistogramSnapshot batch_ns;     ///< process_batch() wall time (sampled)
-  obs::HistogramSnapshot snapshot_ns;  ///< snapshot() rendezvous+drain latency
-  obs::HistogramSnapshot absorb_ns;    ///< merge-thread absorb sweep latency
-
-  // Ingest/replay accounting recorded by the trace layer (record_ingest /
-  // record_replay) — zero if no driver reported any.
-  trace::IngestStats ingest;
-  std::uint64_t replay_records = 0;
-  std::uint64_t replay_nanos = 0;
-};
-
-/// One timestamped EngineMetrics from the background sampler
-/// (EngineBuilder::metrics_sampler; read back via Engine::metrics_series()).
-struct MetricsSample {
-  std::uint64_t elapsed_ns = 0;  ///< since the sampler started
-  EngineMetrics metrics;
-};
-
 class Engine {
  public:
-  Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
   virtual ~Engine() = default;
@@ -394,46 +189,24 @@ class Engine {
   /// frame. Damaged frames are SKIPPED AND COUNTED (never thrown on) into
   /// the returned stats, which also accumulate into metrics().ingest.
   /// Results over the surviving frames are bit-identical to parsing each
-  /// frame into a PacketRecord and calling process_batch() — the engines'
-  /// lazy overrides decode only the fields the compiled program reads
-  /// (CompiledProgram::field_usage), straight off the frame bytes. The base
-  /// implementation is the eager reference path.
+  /// frame into a PacketRecord and calling process_batch() — the engines
+  /// decode only the fields the compiled program reads
+  /// (CompiledProgram::field_usage), straight off the frame bytes.
   virtual trace::IngestStats process_wire_batch(
-      std::span<const FrameObservation> frames) {
-    trace::IngestStats stats;
-    std::vector<PacketRecord> pending;
-    pending.reserve(frames.size());
-    for (const FrameObservation& frame : frames) {
-      wire::ParseError err{};
-      const auto parsed =
-          wire::try_parse(frame.bytes, &err, wire_verify_checksums_);
-      if (!parsed) {
-        trace::count_parse_error(stats, err);
-        continue;
-      }
-      PacketRecord& rec = pending.emplace_back();
-      rec.pkt = parsed->pkt;
-      rec.qid = frame.qid;
-      rec.tin = frame.tin;
-      rec.tout = frame.tout;
-      rec.qsize = frame.qsize;
-      ++stats.parsed;
-    }
-    process_batch(pending);
-    record_ingest(stats);
-    return stats;
-  }
+      std::span<const FrameObservation> frames) = 0;
 
   /// End the query window: flush caches, close stream sinks, run the
   /// collection layer. Must be called exactly once before result()/table().
   virtual void finish(Nanos now) = 0;
 
   /// The program's primary result (its last query). Only after finish().
-  [[nodiscard]] virtual const ResultTable& result() const = 0;
+  [[nodiscard]] const ResultTable& result() const { return resident_.result(); }
 
   /// A named intermediate/final table ("R1"). Throws if unknown or a stream
   /// intermediate that was not materialized. Only after finish().
-  [[nodiscard]] virtual const ResultTable& table(std::string_view name) const = 0;
+  [[nodiscard]] const ResultTable& table(std::string_view name) const {
+    return resident_.table(name);
+  }
 
   /// Mid-run result pull for one on-switch GROUPBY (see the consistency
   /// contract in the file comment). `now` stamps the open epoch's end (it
@@ -451,21 +224,16 @@ class Engine {
   /// live cache contents merged over a copy of the backing store, engine
   /// unperturbed; after finish() it reads the final backing store directly
   /// (the one read that works both mid-run and post-finish). Same
-  /// serialization and poisoned-engine rules as snapshot(). The default
-  /// throws ConfigError: engines without a federated surface opt out.
+  /// serialization and poisoned-engine rules as snapshot().
   [[nodiscard]] virtual kv::StoreExport export_store(std::string_view query_name,
-                                                     Nanos now) {
-    (void)query_name;
-    (void)now;
-    throw ConfigError{"export_store: engine does not support federated export"};
-  }
+                                                     Nanos now) = 0;
 
   /// Attach one dynamically compiled query mid-stream (see the query
   /// lifecycle contract in the file comment). The program must be attachable
-  /// — attachable_kind() below — and options.name unique among live queries;
-  /// violations are ConfigError with no state change. Folding starts at the
-  /// current record boundary (the attach epoch). Must be serialized with
-  /// process_batch()/finish()/snapshot() by the caller.
+  /// — attachable_kind() in resident.hpp — and options.name unique among
+  /// live queries; violations are ConfigError with no state change. Folding
+  /// starts at the current record boundary (the attach epoch). Must be
+  /// serialized with process_batch()/finish()/snapshot() by the caller.
   virtual void attach_query(compiler::CompiledProgram program,
                             const AttachOptions& options) = 0;
 
@@ -479,62 +247,39 @@ class Engine {
   /// obey the metrics coherence contract); throws EngineFaultError if the
   /// engine is poisoned.
   [[nodiscard]] virtual std::vector<StoreStats> store_stats() const = 0;
-  [[nodiscard]] virtual std::uint64_t records_processed() const = 0;
-  [[nodiscard]] virtual std::uint64_t refresh_count() const = 0;
-  [[nodiscard]] virtual const compiler::CompiledProgram& program() const = 0;
+  [[nodiscard]] std::uint64_t records_processed() const {
+    return resident_.records();
+  }
+  [[nodiscard]] std::uint64_t refresh_count() const {
+    return resident_.refreshes();
+  }
+  [[nodiscard]] const compiler::CompiledProgram& program() const {
+    return resident_.program();
+  }
 
   /// The engine's self-telemetry. Callable from any thread at any time,
   /// including on a poisoned engine (see the metrics coherence contract).
   [[nodiscard]] virtual EngineMetrics metrics() const = 0;
 
-  /// Samples collected by the background metrics sampler; empty unless the
-  /// engine was built with EngineBuilder::metrics_sampler().
-  [[nodiscard]] virtual std::vector<MetricsSample> metrics_series() const {
-    return {};
-  }
-
   /// Fold one feed's ingest accounting into metrics().ingest. Drivers that
   /// parse wire-format input (trace::replay_frames, TraceReader loops) call
   /// this when the feed ends; callable multiple times (stats accumulate).
-  virtual void record_ingest(const trace::IngestStats& stats) {
-    ingest_telemetry_.parsed += stats.parsed;
-    ingest_telemetry_.truncated += stats.truncated;
-    ingest_telemetry_.unsupported += stats.unsupported;
-    ingest_telemetry_.bad_length += stats.bad_length;
-    ingest_telemetry_.bad_checksum += stats.bad_checksum;
+  void record_ingest(const trace::IngestStats& stats) {
+    resident_.record_ingest(stats);
   }
 
   /// Record one replay pass (trace::replay) for metrics().replay_*.
-  virtual void record_replay(std::uint64_t records, std::uint64_t nanos) {
-    ingest_telemetry_.replay_records += records;
-    ingest_telemetry_.replay_nanos += nanos;
+  void record_replay(std::uint64_t records, std::uint64_t nanos) {
+    resident_.record_replay(records, nanos);
   }
 
  protected:
-  /// Ingest/replay slots shared by both engines. Written by the driver
-  /// (caller) thread, read by metrics() — single-writer relaxed, like every
-  /// other slot.
-  struct IngestTelemetry {
-    obs::RelaxedU64 parsed, truncated, unsupported, bad_length, bad_checksum;
-    obs::RelaxedU64 replay_records, replay_nanos;
-  };
-  IngestTelemetry ingest_telemetry_;
+  Engine(compiler::CompiledProgram program, EngineConfig config)
+      : resident_(std::move(program), std::move(config)) {}
 
-  /// Whether the wire ingest path verifies IPv4 header checksums. Concrete
-  /// engines set this from EngineConfig::verify_checksums at construction.
-  bool wire_verify_checksums_ = false;
-
-  /// Copy the driver-side slots into a metrics result (concrete engines call
-  /// this from their metrics()).
-  void fill_driver_metrics(EngineMetrics& m) const {
-    m.ingest.parsed = ingest_telemetry_.parsed;
-    m.ingest.truncated = ingest_telemetry_.truncated;
-    m.ingest.unsupported = ingest_telemetry_.unsupported;
-    m.ingest.bad_length = ingest_telemetry_.bad_length;
-    m.ingest.bad_checksum = ingest_telemetry_.bad_checksum;
-    m.replay_records = ingest_telemetry_.replay_records;
-    m.replay_nanos = ingest_telemetry_.replay_nanos;
-  }
+  /// The resident-query layer (resident.hpp): everything about the hosted
+  /// queries that does not depend on how the engine folds.
+  ResidentQueries resident_;
 };
 
 }  // namespace perfq::runtime

@@ -3,25 +3,10 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "obs/sampler.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/sharded/sharded_engine.hpp"
 
 namespace perfq::runtime {
-
-namespace {
-
-/// Wrap the built engine with the background sampler when requested.
-std::unique_ptr<Engine> maybe_sample(
-    std::unique_ptr<Engine> engine,
-    const std::optional<std::chrono::milliseconds>& interval,
-    std::size_t capacity) {
-  if (!interval) return engine;
-  return std::make_unique<obs::SampledEngine>(std::move(engine), *interval,
-                                              capacity);
-}
-
-}  // namespace
 
 std::unique_ptr<Engine> EngineBuilder::build() {
   if (built_) {
@@ -29,14 +14,6 @@ std::unique_ptr<Engine> EngineBuilder::build() {
                       "program was already consumed)"};
   }
   built_ = true;
-  if (sampler_interval_ && sampler_interval_->count() <= 0) {
-    throw ConfigError{"EngineBuilder: metrics_sampler interval must be "
-                      "positive"};
-  }
-  if (sampler_interval_ && sampler_capacity_ == 0) {
-    throw ConfigError{"EngineBuilder: metrics_sampler capacity must be "
-                      "positive"};
-  }
   if (shards_ == 0) {
     const auto reject = [](bool set, const char* knob) {
       if (set) {
@@ -50,9 +27,8 @@ std::unique_ptr<Engine> EngineBuilder::build() {
     reject(backing_shards_.has_value(), "backing_shards()");
     reject(eviction_batch_.has_value(), "eviction_batch()");
     reject(drain_timeout_.has_value(), "drain_timeout()");
-    return maybe_sample(std::make_unique<QueryEngine>(std::move(program_),
-                                                      std::move(config_)),
-                        sampler_interval_, sampler_capacity_);
+    return std::make_unique<QueryEngine>(std::move(program_),
+                                         std::move(config_));
   }
   ShardedEngineConfig config;
   config.engine = std::move(config_);
@@ -63,9 +39,8 @@ std::unique_ptr<Engine> EngineBuilder::build() {
   if (backing_shards_) config.backing_shards = *backing_shards_;
   if (eviction_batch_) config.eviction_batch = *eviction_batch_;
   if (drain_timeout_) config.drain_timeout = *drain_timeout_;
-  return maybe_sample(std::make_unique<ShardedEngine>(std::move(program_),
-                                                      std::move(config)),
-                      sampler_interval_, sampler_capacity_);
+  return std::make_unique<ShardedEngine>(std::move(program_),
+                                         std::move(config));
 }
 
 }  // namespace perfq::runtime

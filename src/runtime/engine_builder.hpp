@@ -114,18 +114,6 @@ class EngineBuilder {
     drain_timeout_ = deadline;
     return *this;
   }
-  /// Background metrics sampling (either engine): a sampler thread polls
-  /// Engine::metrics() every `interval` into a bounded ring of `capacity`
-  /// samples (oldest dropped), readable via Engine::metrics_series(). The
-  /// live metrics() surface is always on regardless — this knob only adds
-  /// the time-series view.
-  EngineBuilder& metrics_sampler(std::chrono::milliseconds interval,
-                                 std::size_t capacity = 256) {
-    sampler_interval_ = interval;
-    sampler_capacity_ = capacity;
-    return *this;
-  }
-
   /// Construct the engine. Consumes the builder's program: call once.
   [[nodiscard]] std::unique_ptr<Engine> build();
 
@@ -139,8 +127,6 @@ class EngineBuilder {
   std::optional<std::size_t> backing_shards_;
   std::optional<std::size_t> eviction_batch_;
   std::optional<std::chrono::milliseconds> drain_timeout_;
-  std::optional<std::chrono::milliseconds> sampler_interval_;
-  std::size_t sampler_capacity_ = 256;
   bool built_ = false;
 };
 

@@ -23,10 +23,8 @@ constexpr std::uint64_t kStopSeq = std::numeric_limits<std::uint64_t>::max();
 
 ShardedEngine::ShardedEngine(compiler::CompiledProgram program,
                              ShardedEngineConfig config)
-    : program_(std::move(program)),
-      config_(std::move(config)),
-      stream_(program_, config_.engine) {
-  wire_verify_checksums_ = config_.engine.verify_checksums;
+    : Engine(std::move(program), std::move(config.engine)),
+      config_(std::move(config)) {
   const std::size_t n_shards = config_.num_shards;
   const std::size_t n_dispatchers = config_.num_dispatchers;
   if (n_shards == 0) {
@@ -43,39 +41,23 @@ ShardedEngine::ShardedEngine(compiler::CompiledProgram program,
   }
   const std::size_t backing_shards =
       config_.backing_shards == 0 ? n_shards : config_.backing_shards;
-  if (program_.switch_plans.size() >
+  const auto& slots = resident_.slots();
+  if (slots.size() >
       static_cast<std::size_t>(std::numeric_limits<std::uint16_t>::max())) {
     throw ConfigError{"ShardedEngine: too many switch queries"};
   }
-  seed_mix_ = mix64(config_.engine.hash_seed);
+  seed_mix_ = mix64(resident_.config().hash_seed);
 
   // Resolve each switch query's geometry and its per-shard bucket slice.
   std::vector<kv::CacheGeometry> shard_geometry;
-  for (const auto& plan : program_.switch_plans) {
-    plans_.push_back(&plan);
+  for (const auto& slot : slots) {
+    const compiler::SwitchQueryPlan& plan = *slot.plan;
     routers_.push_back(compiler::KeyRouter::make(plan));
-    kv::CacheGeometry geometry = config_.engine.geometry;
-    if (const auto it = config_.engine.per_query_geometry.find(plan.name);
-        it != config_.engine.per_query_geometry.end()) {
-      geometry = it->second;
-    }
-    if (geometry.num_buckets % n_shards != 0) {
-      throw ConfigError{
-          "ShardedEngine: geometry '" + geometry.to_string() + "' for query '" +
-          plan.name + "' needs num_buckets divisible by num_shards (" +
-          std::to_string(n_shards) + ") for exact shard/bucket alignment"};
-    }
-    kv::CacheGeometry slice = geometry;
-    slice.num_buckets = geometry.num_buckets / n_shards;
-    shard_geometry.push_back(slice);
+    shard_geometry.push_back(shard_slice(resident_.geometry_for(plan.name),
+                                         plan.name, "ShardedEngine"));
     backings_.push_back(std::make_unique<kv::ShardedBackingStore>(
         plan.kernel, backing_shards));
-    attached_programs_.push_back(nullptr);
-    attach_records_.push_back(0);
   }
-
-  // (Stream SELECT sinks live in stream_ — caller-side, identical to
-  // QueryEngine's, constructed in the member initializer list.)
 
   // Shards: per query a cache slice whose evictions feed the shard's MPSC
   // queue (batched) instead of a synchronous backing-store absorb; one input
@@ -89,22 +71,10 @@ ShardedEngine::ShardedEngine(compiler::CompiledProgram program,
       sh.rings.push_back(
           std::make_unique<SpscRing<ShardMsg>>(config_.ring_capacity));
     }
-    for (std::size_t q = 0; q < plans_.size(); ++q) {
-      sh.caches.push_back(std::make_unique<kv::Cache>(
-          shard_geometry[q], plans_[q]->kernel, config_.engine.hash_seed,
-          config_.engine.eviction_policy, /*bucket_scale=*/n_shards));
-      sh.caches.back()->set_eviction_sink(
-          [this, &sh, q](kv::EvictedValue&& ev) {
-            sh.evict_buf.push_back(
-                TaggedEviction{static_cast<std::uint16_t>(q), std::move(ev)});
-            if (sh.evict_buf.size() >= config_.eviction_batch) {
-              push_evictions(sh);
-            }
-          });
-    }
-    for (std::size_t q = 0; q < plans_.size(); ++q) {
+    for (std::size_t q = 0; q < slots.size(); ++q) {
+      sh.caches.push_back(make_slice(sh, q, *slots[q].plan, shard_geometry[q]));
       sh.cores.push_back(
-          std::make_unique<SwitchFoldCore>(*plans_[q], *sh.caches[q]));
+          std::make_unique<SwitchFoldCore>(*slots[q].plan, *sh.caches[q]));
     }
     shards_.push_back(std::move(shard));
   }
@@ -149,15 +119,8 @@ void ShardedEngine::begin_stop() noexcept {
 
 void ShardedEngine::on_thread_fault(ThreadRole role, std::size_t shard,
                                     std::string cause) noexcept {
-  fault_.record(role, shard, std::move(cause));
+  resident_.fault().record(role, shard, std::move(cause));
   begin_stop();
-}
-
-void ShardedEngine::throw_if_faulted() {
-  if (fault_.faulted()) {
-    begin_stop();
-    fault_.raise();
-  }
 }
 
 std::string ShardedEngine::pipeline_diagnostic(const char* what) const {
@@ -212,12 +175,12 @@ void ShardedEngine::collect_pipeline(EngineMetrics& m) const {
 
 void ShardedEngine::spin_backoff(SpinState& spin, const char* what) {
   if (what != nullptr && config_.drain_timeout.count() > 0 &&
-      !fault_.faulted()) {
+      !resident_.fault().faulted()) {
     if (!spin.armed) {
       spin.deadline = std::chrono::steady_clock::now() + config_.drain_timeout;
       spin.armed = true;
     } else if (std::chrono::steady_clock::now() > spin.deadline) {
-      fault_.record(ThreadRole::kWatchdog, kNoShard,
+      resident_.fault().record(ThreadRole::kWatchdog, kNoShard,
                     std::string{"drain deadline exceeded waiting for "} + what,
                     pipeline_diagnostic(what));
       begin_stop();
@@ -248,7 +211,7 @@ bool ShardedEngine::wait_exited(const std::atomic<bool>& exited, bool watchdog,
           // every stop-aware loop, and grant one more deadline of grace for
           // the thread to unwind before deferring its join to the
           // destructor.
-          fault_.record(ThreadRole::kWatchdog, kNoShard,
+          resident_.fault().record(ThreadRole::kWatchdog, kNoShard,
                         std::string{"drain deadline exceeded waiting for "} +
                             what,
                         pipeline_diagnostic(what));
@@ -307,7 +270,39 @@ void ShardedEngine::co_dispatcher_main(std::size_t d) {
 // ---- dispatch ---------------------------------------------------------------
 
 std::uint64_t ShardedEngine::placement_of_raw(std::uint64_t raw) const {
-  return config_.engine.hash_seed == 0 ? raw : mix64(raw ^ seed_mix_);
+  return resident_.config().hash_seed == 0 ? raw : mix64(raw ^ seed_mix_);
+}
+
+std::unique_ptr<kv::Cache> ShardedEngine::make_slice(
+    Shard& sh, std::size_t q, const compiler::SwitchQueryPlan& plan,
+    const kv::CacheGeometry& slice) const {
+  const EngineConfig& config = resident_.config();
+  auto cache = std::make_unique<kv::Cache>(
+      slice, plan.kernel, config.hash_seed, config.eviction_policy,
+      /*bucket_scale=*/config_.num_shards);
+  const std::size_t batch = config_.eviction_batch;
+  cache->set_eviction_sink([&sh, q, batch](kv::EvictedValue&& ev) {
+    sh.evict_buf.push_back(
+        TaggedEviction{static_cast<std::uint16_t>(q), std::move(ev)});
+    if (sh.evict_buf.size() >= batch) push_evictions(sh);
+  });
+  return cache;
+}
+
+kv::CacheGeometry ShardedEngine::shard_slice(const kv::CacheGeometry& geometry,
+                                             const std::string& query,
+                                             const char* what) const {
+  const std::size_t n_shards = config_.num_shards;
+  if (geometry.num_buckets % n_shards != 0) {
+    throw ConfigError{std::string{what} + ": geometry '" +
+                      geometry.to_string() + "' for query '" + query +
+                      "' needs num_buckets divisible by num_shards (" +
+                      std::to_string(n_shards) +
+                      ") for exact shard/bucket alignment"};
+  }
+  kv::CacheGeometry slice = geometry;
+  slice.num_buckets = geometry.num_buckets / n_shards;
+  return slice;
 }
 
 void ShardedEngine::stage(std::size_t d, std::size_t shard, ShardMsg&& msg) {
@@ -363,6 +358,7 @@ void ShardedEngine::dispatch_slice(std::size_t d,
                                    std::span<const FlushEvent> flushes,
                                    std::uint64_t watermark_seq) {
   const std::uint64_t n_shards = shards_.size();
+  const auto& slots = resident_.slots();
   const FlushEvent* flush = flushes.data();
   const FlushEvent* flush_end = flushes.data() + flushes.size();
   for (std::size_t i = 0; i < slice.size(); ++i) {
@@ -392,9 +388,9 @@ void ShardedEngine::dispatch_slice(std::size_t d,
     // key's hash is computed here — record-direct for plain-field keys (no
     // kv::Key materialized); the worker re-packs the key on its own core.
     const compiler::RecordSource source({&rec, 1});
-    for (std::size_t q = 0; q < plans_.size(); ++q) {
-      if (plans_[q] == nullptr) continue;  // detached slot
-      const compiler::SwitchQueryPlan& plan = *plans_[q];
+    for (std::size_t q = 0; q < slots.size(); ++q) {
+      if (slots[q].plan == nullptr) continue;  // detached slot
+      const compiler::SwitchQueryPlan& plan = *slots[q].plan;
       if (plan.prefilter.has_value() && !plan.prefilter->eval_bool(source)) {
         continue;
       }
@@ -431,8 +427,9 @@ void ShardedEngine::run_stream_sinks(std::span<const PacketRecord> records) {
   // Stream sinks stay on the caller: their row streams are order-sensitive
   // and must match the single-threaded engine exactly. One delivery per
   // process_batch call, same as QueryEngine (the sink batch contract).
-  for (const PacketRecord& rec : records) stream_.observe(rec);
-  stream_.deliver();
+  StreamStage& stream = resident_.stream();
+  for (const PacketRecord& rec : records) stream.observe(rec);
+  stream.deliver();
 }
 
 void ShardedEngine::push_evictions(Shard& sh) {
@@ -444,31 +441,12 @@ void ShardedEngine::push_evictions(Shard& sh) {
 }
 
 void ShardedEngine::process_batch(std::span<const PacketRecord> records) {
-  throw_if_faulted();
-  check(!finished_, "ShardedEngine: process after finish");
-  ++batches_;
-  const bool timed =
-      obs::kTelemetryEnabled &&
-      (records.size() >= obs::kAlwaysTimeBatch ||
-       (batch_tick_++ & obs::kSmallBatchSampleMask) == 0);
-  const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-  try {
-    process_batch_impl(records);
-    if (timed) batch_ns_.record(obs::now_ns() - t0);
-  } catch (const EngineFaultError&) {
-    begin_stop();
-    throw;
-  } catch (const std::exception& e) {
-    // Caller-side failure (stream sink callback, routing, allocation):
-    // poison the engine and throw the structured error.
-    fault_.record(ThreadRole::kCaller, kNoShard, e.what());
-    begin_stop();
-    fault_.raise();
-  } catch (...) {
-    fault_.record(ThreadRole::kCaller, kNoShard, "unknown exception");
-    begin_stop();
-    fault_.raise();
-  }
+  resident_.enter("engine: process after finish", stopper());
+  const std::uint64_t t0 = resident_.begin_batch(records.size());
+  // Caller-side failure (stream sink callback, routing, allocation):
+  // poison the engine and throw the structured error.
+  resident_.guarded([&] { process_batch_impl(records); }, stopper());
+  resident_.end_batch(t0);
   // A fault on another thread during this batch (worker/merge/dispatcher
   // death, watchdog expiry): dispatch may have been silently abandoned —
   // surface it at the batch boundary rather than on the next call.
@@ -482,12 +460,12 @@ trace::IngestStats ShardedEngine::process_wire_batch(
   // batch telemetry). Steady-state: zero allocations once the scratch has
   // grown to the burst size.
   trace::IngestStats stats;
+  const bool verify = resident_.config().verify_checksums;
   wire_pending_.clear();
   wire_pending_.reserve(frames.size());
   for (const FrameObservation& frame : frames) {
     wire::ParseError err{};
-    const auto parsed =
-        wire::try_parse(frame.bytes, &err, wire_verify_checksums_);
+    const auto parsed = wire::try_parse(frame.bytes, &err, verify);
     if (!parsed) {
       trace::count_parse_error(stats, err);
       continue;
@@ -508,24 +486,18 @@ trace::IngestStats ShardedEngine::process_wire_batch(
 void ShardedEngine::process_batch_impl(std::span<const PacketRecord> records) {
   const std::size_t n = records.size();
   if (n == 0) return;
-  const std::uint64_t base = records_;
-  records_ += n;
+  const std::uint64_t base = resident_.records();
+  resident_.add_records(n);
 
   // Periodic refresh (§3.2): the boundary depends on every preceding
   // record's tin, so it is detected here — serially, in global record order
   // — and handed to whichever dispatcher owns the slice it falls in. One
   // compare per record, a sliver of the ~hash-sized routing cost.
   flush_events_.clear();
-  if (config_.engine.refresh_interval > Nanos{0}) {
+  if (resident_.refreshing()) {
     for (std::size_t i = 0; i < n; ++i) {
-      const Nanos tin = records[i].tin;
-      if (next_refresh_ == Nanos{0}) {
-        next_refresh_ = tin + config_.engine.refresh_interval;
-      }
-      if (tin >= next_refresh_) {
-        flush_events_.push_back(FlushEvent{base + i, tin});
-        ++refreshes_;
-        next_refresh_ = tin + config_.engine.refresh_interval;
+      if (resident_.due(records[i].tin)) {
+        flush_events_.push_back(FlushEvent{base + i, records[i].tin});
       }
     }
   }
@@ -534,7 +506,7 @@ void ShardedEngine::process_batch_impl(std::span<const PacketRecord> records) {
   const std::uint64_t watermark = 2 * (base + n);
   if (n_dispatchers == 1) {
     dispatch_slice(0, records, base, flush_events_, watermark);
-    if (!stream_.empty()) run_stream_sinks(records);
+    if (!resident_.stream().empty()) run_stream_sinks(records);
     return;
   }
 
@@ -577,7 +549,7 @@ void ShardedEngine::process_batch_impl(std::span<const PacketRecord> records) {
   const auto [lo0, hi0] = slice_of(0);
   dispatch_slice(0, records.subspan(lo0, hi0 - lo0), base,
                  flushes_in(lo0, hi0), watermark);
-  if (!stream_.empty()) run_stream_sinks(records);
+  if (!resident_.stream().empty()) run_stream_sinks(records);
   // The records span is borrowed from the caller: do not return until every
   // helper has finished reading (and staging) its slice — or has exited (a
   // dead helper reads nothing more). This wait must never bail early on a
@@ -641,8 +613,8 @@ void ShardedEngine::worker_prepare(Shard& sh, std::size_t i,
   sh.cores[q]->prepare_extracted(
       i, routers_[q].has_value()
              ? routers_[q]->make_key(msg.rec, msg.raw_hash)
-             : compiler::extract_key_prehashed(*plans_[q], msg.rec,
-                                               msg.raw_hash));
+             : compiler::extract_key_prehashed(*resident_.slots()[q].plan,
+                                               msg.rec, msg.raw_hash));
 }
 
 void ShardedEngine::worker_process(Shard& sh, std::size_t i, ShardMsg& msg) {
@@ -948,7 +920,7 @@ void ShardedEngine::stop_pipeline(bool flush, Nanos now, bool watchdog) {
     if (flush && !stop_.load(std::memory_order_acquire)) {
       ShardMsg msg;
       msg.kind = ShardMsg::Kind::kFlush;
-      msg.seq = 2 * records_;
+      msg.seq = 2 * resident_.records();
       msg.rec.tin = now;
       stage(0, s, std::move(msg));
     }
@@ -980,120 +952,62 @@ void ShardedEngine::stop_pipeline(bool flush, Nanos now, bool watchdog) {
 }
 
 void ShardedEngine::finish(Nanos now) {
-  throw_if_faulted();
-  check(!finished_, "ShardedEngine: finish called twice");
-  finished_ = true;
-  try {
-    stop_pipeline(/*flush=*/true, now, /*watchdog=*/true);
-    // A fault recorded during the drain (thread death discovered on join,
-    // watchdog expiry) forfeits the results: surface it instead of
-    // materializing partial tables.
-    throw_if_faulted();
-    for (std::size_t q = 0; q < plans_.size(); ++q) {
-      if (plans_[q] == nullptr) continue;  // detached slot
-      if (attached_programs_[q] != nullptr) {
-        // Attached queries end with the window; their query indices belong
-        // to their own programs, so their tables file by name.
-        attached_tables_.emplace(
-            plans_[q]->name, materialize_switch_table(*attached_programs_[q],
-                                                      *plans_[q],
-                                                      *backings_[q]));
-      } else {
-        tables_.emplace(
-            plans_[q]->query_index,
-            materialize_switch_table(program_, *plans_[q], *backings_[q]));
-      }
-    }
-    stream_.finish(tables_, attached_tables_);
-    for (std::size_t i = 0; i < program_.analysis.queries.size(); ++i) {
-      if (tables_.count(static_cast<int>(i)) > 0) continue;
-      run_collection_query(program_, static_cast<int>(i), tables_);
-    }
-  } catch (const EngineFaultError&) {
-    begin_stop();
-    throw;
-  } catch (const std::exception& e) {
-    fault_.record(ThreadRole::kCaller, kNoShard, e.what());
-    begin_stop();
-    fault_.raise();
-  } catch (...) {
-    fault_.record(ThreadRole::kCaller, kNoShard, "unknown exception");
-    begin_stop();
-    fault_.raise();
-  }
-}
-
-std::size_t ShardedEngine::resolve_switch_query(std::string_view query_name,
-                                                const char* what) const {
-  // Name resolution happens before the fault machinery: an unknown query is
-  // a usage error, not an engine fault, and must not poison the pipeline.
-  for (std::size_t q = 0; q < plans_.size(); ++q) {
-    if (plans_[q] != nullptr && plans_[q]->name == query_name) return q;
-  }
-  throw QueryError{"result", std::string{what} +
-                                 ": no on-switch GROUPBY named '" +
-                                 std::string{query_name} + "'"};
+  resident_.begin_finish(stopper());
+  resident_.guarded(
+      [&] {
+        stop_pipeline(/*flush=*/true, now, /*watchdog=*/true);
+        // A fault recorded during the drain (thread death discovered on
+        // join, watchdog expiry) forfeits the results: surface it instead of
+        // materializing partial tables.
+        throw_if_faulted();
+        resident_.collect_results(
+            [&](std::size_t q) -> const kv::ShardedBackingStore& {
+              return *backings_[q];
+            });
+      },
+      stopper());
 }
 
 EngineSnapshot ShardedEngine::snapshot(std::string_view query_name, Nanos now) {
-  throw_if_faulted();
-  check(!finished_, "ShardedEngine: snapshot after finish");
-  const std::size_t query = resolve_switch_query(query_name, "snapshot");
-  try {
-    return snapshot_impl(query, now);
-  } catch (const EngineFaultError&) {
-    begin_stop();
-    throw;
-  } catch (const std::exception& e) {
-    fault_.record(ThreadRole::kCaller, kNoShard, e.what());
-    begin_stop();
-    fault_.raise();
-  } catch (...) {
-    fault_.record(ThreadRole::kCaller, kNoShard, "unknown exception");
-    begin_stop();
-    fault_.raise();
-  }
+  resident_.enter("engine: snapshot after finish", stopper());
+  const std::size_t query = resident_.switch_slot(query_name, "snapshot");
+  return resident_.guarded(
+      [&] {
+        return EngineSnapshot{
+            resident_.materialize(query, *snapshot_merged_store(query, now)),
+            resident_.records(), now};
+      },
+      stopper());
 }
 
 kv::StoreExport ShardedEngine::export_store(std::string_view query_name,
                                             Nanos now) {
   throw_if_faulted();
-  const std::size_t query = resolve_switch_query(query_name, "export_store");
-  try {
-    kv::StoreExport out;
-    out.query = std::string{query_name};
-    out.records = records_;
-    out.time = now;
-    if (finished_) {
-      // Pipeline joined and flushed; the concurrent store IS the result.
-      out.entries = backings_[query]->export_entries();
-    } else {
-      out.entries = snapshot_merged_store(query, now)->export_entries();
-    }
-    return out;
-  } catch (const EngineFaultError&) {
-    begin_stop();
-    throw;
-  } catch (const std::exception& e) {
-    fault_.record(ThreadRole::kCaller, kNoShard, e.what());
-    begin_stop();
-    fault_.raise();
-  } catch (...) {
-    fault_.record(ThreadRole::kCaller, kNoShard, "unknown exception");
-    begin_stop();
-    fault_.raise();
-  }
+  const std::size_t query = resident_.switch_slot(query_name, "export_store");
+  return resident_.guarded(
+      [&] {
+        kv::StoreExport out;
+        out.query = std::string{query_name};
+        out.records = resident_.records();
+        out.time = now;
+        // After finish() the pipeline is joined and flushed: the concurrent
+        // store IS the result.
+        out.entries = resident_.finished()
+                          ? backings_[query]->export_entries()
+                          : snapshot_merged_store(query, now)->export_entries();
+        return out;
+      },
+      stopper());
 }
 
 std::unique_ptr<kv::ShardedBackingStore> ShardedEngine::snapshot_merged_store(
     std::size_t query, Nanos now) {
-  ++snapshots_;
   // Rendezvous latency tap: steps 1-3 (marker broadcast → every worker at
   // the boundary → eviction drain barrier) are the cost of *reaching* the
   // coherent point; the overlay in step 4 is ordinary copying.
-  const std::uint64_t t0 = obs::kTelemetryEnabled ? obs::now_ns() : 0;
+  const std::uint64_t t0 = resident_.begin_pull();
   // 1. Broadcast the snapshot marker through the caller's rings at the
-  // current record boundary. Its seq (2·records_) orders after every
+  // current record boundary. Its seq (2·records) orders after every
   // dispatched record; the co-dispatcher watermarks of the last batch carry
   // the same bound, so every worker's merge can prove it safe without any
   // new traffic.
@@ -1102,7 +1016,7 @@ std::unique_ptr<kv::ShardedBackingStore> ShardedEngine::snapshot_merged_store(
     ShardMsg msg;
     msg.kind = ShardMsg::Kind::kSnapshot;
     msg.query = static_cast<std::uint16_t>(query);
-    msg.seq = 2 * records_;
+    msg.seq = 2 * resident_.records();
     msg.raw_hash = gen;
     msg.rec.tin = now;
     stage(0, s, std::move(msg));
@@ -1116,7 +1030,7 @@ std::unique_ptr<kv::ShardedBackingStore> ShardedEngine::snapshot_merged_store(
   for (auto& shard : shards_) {
     SpinState spin;
     while (shard->snapshot_ready.load(std::memory_order_acquire) != gen) {
-      if (fault_.faulted()) fault_.raise();
+      if (resident_.fault().faulted()) resident_.fault().raise();
       spin_backoff(spin, "the snapshot rendezvous");
     }
   }
@@ -1125,7 +1039,7 @@ std::unique_ptr<kv::ShardedBackingStore> ShardedEngine::snapshot_merged_store(
   // the MPSC queues (workers push before acking); wait until the merge
   // thread has absorbed them all, so the backing store is boundary-exact.
   drain_eviction_barrier("the snapshot eviction drain barrier");
-  if (obs::kTelemetryEnabled) snapshot_ns_.record(obs::now_ns() - t0);
+  resident_.end_pull(t0);
 
   // 4. Overlay the cache copies (all for `query` — the marker carried it)
   // on a clone of the concurrent store with the ordinary exact-merge absorb.
@@ -1138,16 +1052,6 @@ std::unique_ptr<kv::ShardedBackingStore> ShardedEngine::snapshot_merged_store(
   return merged;
 }
 
-EngineSnapshot ShardedEngine::snapshot_impl(std::size_t query, Nanos now) {
-  const std::unique_ptr<kv::ShardedBackingStore> merged =
-      snapshot_merged_store(query, now);
-  const compiler::CompiledProgram& prog = attached_programs_[query] != nullptr
-                                              ? *attached_programs_[query]
-                                              : program_;
-  return EngineSnapshot{
-      materialize_switch_table(prog, *plans_[query], *merged), records_, now};
-}
-
 void ShardedEngine::drain_eviction_barrier(const char* what) {
   for (auto& shard : shards_) {
     const std::uint64_t target =
@@ -1155,7 +1059,7 @@ void ShardedEngine::drain_eviction_barrier(const char* what) {
     SpinState spin;
     while (shard->evictions_absorbed.load(std::memory_order_acquire) <
            target) {
-      if (fault_.faulted()) fault_.raise();
+      if (resident_.fault().faulted()) resident_.fault().raise();
       spin_backoff(spin, what);
     }
   }
@@ -1163,7 +1067,7 @@ void ShardedEngine::drain_eviction_barrier(const char* what) {
 
 void ShardedEngine::quiesce_pipeline(const char* what) {
   // The snapshot rendezvous without the cache copy: broadcast a kBarrier at
-  // the current record boundary through the caller's rings (seq 2·records_
+  // the current record boundary through the caller's rings (seq 2·records
   // orders after every dispatched record), wait for each worker's ack, then
   // prove the backing stores caught up. On return nothing is in flight:
   // every ring is drained past the boundary, every eviction absorbed, and
@@ -1174,7 +1078,7 @@ void ShardedEngine::quiesce_pipeline(const char* what) {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     ShardMsg msg;
     msg.kind = ShardMsg::Kind::kBarrier;
-    msg.seq = 2 * records_;
+    msg.seq = 2 * resident_.records();
     msg.raw_hash = gen;
     stage(0, s, std::move(msg));
     publish(0, s);
@@ -1182,7 +1086,7 @@ void ShardedEngine::quiesce_pipeline(const char* what) {
   for (auto& shard : shards_) {
     SpinState spin;
     while (shard->snapshot_ready.load(std::memory_order_acquire) != gen) {
-      if (fault_.faulted()) fault_.raise();
+      if (resident_.fault().faulted()) resident_.fault().raise();
       spin_backoff(spin, what);
     }
   }
@@ -1191,74 +1095,29 @@ void ShardedEngine::quiesce_pipeline(const char* what) {
 
 void ShardedEngine::attach_query(compiler::CompiledProgram program,
                                  const AttachOptions& options) {
-  throw_if_faulted();
-  check(!finished_, "ShardedEngine: attach after finish");
+  resident_.enter("engine: attach after finish", stopper());
   // Validation throws (ConfigError) before ANY state change.
-  const AttachKind kind = attachable_kind(program);
-  if (options.name.empty()) {
-    throw ConfigError{"attach: query name must not be empty"};
-  }
-  for (const auto* plan : plans_) {
-    if (plan != nullptr && plan->name == options.name) {
-      throw ConfigError{"attach: query '" + options.name + "' already exists"};
-    }
-  }
-  if (stream_.has(options.name) ||
-      program_.analysis.query_index(options.name) >= 0) {
-    throw ConfigError{"attach: query '" + options.name + "' already exists"};
-  }
-  auto owned = std::make_shared<compiler::CompiledProgram>(std::move(program));
-  owned->analysis.queries.back().def.result_name = options.name;
-  if (kind == AttachKind::kStreamSelect) {
-    // Stream tenants live on the caller thread only: no pipeline quiesce
-    // needed, just the topology lock against metrics readers.
-    std::lock_guard<std::mutex> lock(topology_mu_);
-    stream_.attach(std::move(owned), options.name, options.sink,
-                   config_.engine, records_);
+  ResidentQueries::Tenant tenant = resident_.admit(std::move(program), options);
+  if (tenant.kind == AttachKind::kStreamSelect) {
+    resident_.attach_stream(std::move(tenant), options);
     return;
   }
-  const std::size_t n_shards = shards_.size();
-  if (plans_.size() >=
-      static_cast<std::size_t>(std::numeric_limits<std::uint16_t>::max())) {
+  const std::size_t q = resident_.slots().size();  // the new slot's index
+  if (q >= static_cast<std::size_t>(std::numeric_limits<std::uint16_t>::max())) {
     throw ConfigError{"attach: too many switch queries"};
   }
-  compiler::SwitchQueryPlan& plan = owned->switch_plans.front();
-  plan.name = options.name;
-  kv::CacheGeometry geometry = config_.engine.geometry;
-  if (const auto it = config_.engine.per_query_geometry.find(options.name);
-      it != config_.engine.per_query_geometry.end()) {
-    geometry = it->second;
-  }
-  if (options.geometry.has_value()) geometry = *options.geometry;
-  if (geometry.num_buckets % n_shards != 0) {
-    throw ConfigError{
-        "attach: geometry '" + geometry.to_string() + "' for query '" +
-        options.name + "' needs num_buckets divisible by num_shards (" +
-        std::to_string(n_shards) + ") for exact shard/bucket alignment"};
-  }
+  const compiler::SwitchQueryPlan& plan = tenant.program->switch_plans.front();
+  const kv::CacheGeometry slice = shard_slice(tenant.geometry, plan.name, "attach");
   // Build every new structure BEFORE touching shared state: an allocation
   // failure here leaves the engine exactly as it was.
   const std::size_t backing_shards =
-      config_.backing_shards == 0 ? n_shards : config_.backing_shards;
-  kv::CacheGeometry slice = geometry;
-  slice.num_buckets = geometry.num_buckets / n_shards;
+      config_.backing_shards == 0 ? shards_.size() : config_.backing_shards;
   auto backing =
       std::make_unique<kv::ShardedBackingStore>(plan.kernel, backing_shards);
-  const std::size_t q = plans_.size();  // the new slot's stable index
   std::vector<std::unique_ptr<kv::Cache>> caches;
   std::vector<std::unique_ptr<SwitchFoldCore>> cores;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    Shard& sh = *shards_[s];
-    caches.push_back(std::make_unique<kv::Cache>(
-        slice, plan.kernel, config_.engine.hash_seed,
-        config_.engine.eviction_policy, /*bucket_scale=*/n_shards));
-    caches.back()->set_eviction_sink([this, &sh, q](kv::EvictedValue&& ev) {
-      sh.evict_buf.push_back(
-          TaggedEviction{static_cast<std::uint16_t>(q), std::move(ev)});
-      if (sh.evict_buf.size() >= config_.eviction_batch) {
-        push_evictions(sh);
-      }
-    });
+  for (auto& shard : shards_) {
+    caches.push_back(make_slice(*shard, q, plan, slice));
     cores.push_back(std::make_unique<SwitchFoldCore>(plan, *caches.back()));
   }
   // Quiesce so the per-shard vectors can grow with nothing in flight, then
@@ -1266,192 +1125,98 @@ void ShardedEngine::attach_query(compiler::CompiledProgram program,
   // publish/pop pair; metrics readers through the topology lock.
   quiesce_pipeline("the attach quiesce barrier");
   throw_if_faulted();
-  std::lock_guard<std::mutex> lock(topology_mu_);
-  plans_.push_back(&plan);
+  const auto lock = resident_.topology_lock();
+  resident_.add_slot(std::move(tenant.program));
   routers_.push_back(compiler::KeyRouter::make(plan));
   backings_.push_back(std::move(backing));
-  attached_programs_.push_back(std::move(owned));
-  attach_records_.push_back(records_);
-  for (std::size_t s = 0; s < n_shards; ++s) {
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
     shards_[s]->caches.push_back(std::move(caches[s]));
     shards_[s]->cores.push_back(std::move(cores[s]));
   }
 }
 
 ResultTable ShardedEngine::detach_query(std::string_view name, Nanos now) {
-  throw_if_faulted();
-  check(!finished_, "ShardedEngine: detach after finish");
-  std::size_t query = plans_.size();
-  for (std::size_t q = 0; q < plans_.size(); ++q) {
-    if (plans_[q] != nullptr && plans_[q]->name == name) query = q;
+  resident_.enter("engine: detach after finish", stopper());
+  const std::size_t query = resident_.detach_target(name);
+  if (query == ResidentQueries::npos) {
+    return resident_.detach_stream(name, stopper());
   }
-  if (query == plans_.size()) {
-    if (stream_.has(name)) {
-      if (!stream_.has_attached(name)) {
-        throw ConfigError{"detach: '" + std::string{name} +
-                          "' is a base-program query and cannot be detached"};
-      }
-      std::lock_guard<std::mutex> lock(topology_mu_);
-      try {
-        return stream_.detach(name);
-      } catch (const std::exception& e) {
-        fault_.record(ThreadRole::kCaller, kNoShard, e.what());
-        begin_stop();
-        fault_.raise();
-      }
-    }
-    throw QueryError{"result",
-                     "detach: unknown query '" + std::string{name} + "'"};
-  }
-  if (attached_programs_[query] == nullptr) {
-    throw ConfigError{"detach: '" + std::string{name} +
-                      "' is a base-program query and cannot be detached"};
-  }
-  try {
-    // 1. Quiesce: nothing in flight, backing stores boundary-exact.
-    quiesce_pipeline("the detach quiesce barrier");
-    throw_if_faulted();
-    // 2. End this query's window: flush its slices from the caller (the
-    // workers are idle between messages; evictions route through the
-    // per-shard sink closures into evict_buf exactly as a worker flush
-    // would), hand them to the merge thread, and drain again.
-    for (auto& shard : shards_) {
-      shard->caches[query]->flush(now);
-      push_evictions(*shard);
-    }
-    drain_eviction_barrier("the detach eviction drain");
-    throw_if_faulted();
-    // 3. The final table, from the now-complete backing store.
-    ResultTable table = materialize_switch_table(
-        *attached_programs_[query], *plans_[query], *backings_[query]);
-    // 4. Free the slot in place (indices of resident queries never move; no
-    // message for this query can exist anymore). Resident queries' caches
-    // are untouched — their tables are byte-identical either way.
-    std::lock_guard<std::mutex> lock(topology_mu_);
-    for (auto& shard : shards_) {
-      shard->caches[query].reset();
-      shard->cores[query].reset();
-    }
-    backings_[query].reset();
-    routers_[query].reset();
-    attached_programs_[query].reset();
-    plans_[query] = nullptr;
-    return table;
-  } catch (const EngineFaultError&) {
-    begin_stop();
-    throw;
-  } catch (const std::exception& e) {
-    fault_.record(ThreadRole::kCaller, kNoShard, e.what());
-    begin_stop();
-    fault_.raise();
-  } catch (...) {
-    fault_.record(ThreadRole::kCaller, kNoShard, "unknown exception");
-    begin_stop();
-    fault_.raise();
-  }
+  return resident_.guarded(
+      [&] {
+        // 1. Quiesce: nothing in flight, backing stores boundary-exact.
+        quiesce_pipeline("the detach quiesce barrier");
+        throw_if_faulted();
+        // 2. End this query's window: flush its slices from the caller (the
+        // workers are idle between messages; evictions route through the
+        // per-shard sink closures into evict_buf exactly as a worker flush
+        // would), hand them to the merge thread, and drain again.
+        for (auto& shard : shards_) {
+          shard->caches[query]->flush(now);
+          push_evictions(*shard);
+        }
+        drain_eviction_barrier("the detach eviction drain");
+        throw_if_faulted();
+        // 3. The final table, from the now-complete backing store.
+        ResultTable table = resident_.materialize(query, *backings_[query]);
+        // 4. Free the slot in place (indices of resident queries never move;
+        // no message for this query can exist anymore). Resident queries'
+        // caches are untouched — their tables are byte-identical either way.
+        const auto lock = resident_.topology_lock();
+        for (auto& shard : shards_) {
+          shard->caches[query].reset();
+          shard->cores[query].reset();
+        }
+        backings_[query].reset();
+        routers_[query].reset();
+        resident_.release(query);
+        return table;
+      },
+      stopper());
 }
 
-const ResultTable* ShardedEngine::find_table(int index) const {
-  return find_collection_table(tables_, index);
-}
-
-const ResultTable& ShardedEngine::result() const {
-  if (fault_.faulted()) fault_.raise();
-  check(finished_, "ShardedEngine: result before finish");
-  const int last = static_cast<int>(program_.analysis.queries.size()) - 1;
-  const ResultTable* t = find_table(last);
-  check(t != nullptr, "ShardedEngine: program result not materialized");
-  return *t;
-}
-
-const ResultTable& ShardedEngine::table(std::string_view name) const {
-  if (fault_.faulted()) fault_.raise();
-  check(finished_, "ShardedEngine: table before finish");
-  if (const auto it = attached_tables_.find(name);
-      it != attached_tables_.end()) {
-    return it->second;
+const kv::ShardedBackingStore& ShardedEngine::slot_stats(std::size_t q,
+                                                         StoreStats& s) const {
+  for (const auto& shard : shards_) {
+    const kv::CacheStats& cs = shard->caches[q]->stats();
+    s.cache.packets += cs.packets;
+    s.cache.hits += cs.hits;
+    s.cache.initializations += cs.initializations;
+    s.cache.evictions += cs.evictions;
+    s.cache.flushes += cs.flushes;
   }
-  const int idx = program_.analysis.query_index(name);
-  if (idx < 0) {
-    throw QueryError{"result", "unknown table '" + std::string{name} + "'"};
-  }
-  const ResultTable* t = find_table(idx);
-  if (t == nullptr) {
-    throw QueryError{"result", "table '" + std::string{name} +
-                                   "' is a stream intermediate and was not "
-                                   "materialized"};
-  }
-  return *t;
+  return *backings_[q];
 }
 
 std::vector<StoreStats> ShardedEngine::store_stats() const {
-  if (fault_.faulted()) fault_.raise();
-  // Mid-run reads are allowed (the pre-observability engine required
-  // finish()): every summed counter is a single-writer relaxed slot and the
-  // backing-store reads lock per sub-store, so this never perturbs the
-  // pipeline. Mid-run coherence is per-counter (engine_api.hpp).
-  std::lock_guard<std::mutex> lock(topology_mu_);
-  return collect_store_stats();
-}
-
-std::vector<StoreStats> ShardedEngine::collect_store_stats() const {
-  std::vector<StoreStats> out;
-  for (std::size_t q = 0; q < plans_.size(); ++q) {
-    if (plans_[q] == nullptr) continue;  // detached slot
-    StoreStats s;
-    s.name = plans_[q]->name;
-    s.linearity = plans_[q]->linearity;
-    for (const auto& shard : shards_) {
-      const kv::CacheStats& cs = shard->caches[q]->stats();
-      s.cache.packets += cs.packets;
-      s.cache.hits += cs.hits;
-      s.cache.initializations += cs.initializations;
-      s.cache.evictions += cs.evictions;
-      s.cache.flushes += cs.flushes;
-    }
-    s.accuracy = backings_[q]->accuracy();
-    s.backing_writes = backings_[q]->writes();
-    s.backing_capacity_writes = backings_[q]->capacity_writes();
-    s.keys = backings_[q]->key_count();
-    s.attached = attached_programs_[q] != nullptr;
-    s.attach_records = attach_records_[q];
-    out.push_back(std::move(s));
-  }
-  return out;
+  // Mid-run reads are allowed: every summed counter is a single-writer
+  // relaxed slot and the backing-store reads lock per sub-store, so this
+  // never perturbs the pipeline. Mid-run coherence is per-counter
+  // (engine_api.hpp).
+  return resident_.store_stats(
+      [this](std::size_t q, StoreStats& s) -> const kv::ShardedBackingStore& {
+        return slot_stats(q, s);
+      });
 }
 
 EngineMetrics ShardedEngine::metrics() const {
-  EngineMetrics m;
-  m.engine = "sharded";
-  m.records = records_;
-  m.batches = batches_;
-  m.refreshes = refreshes_;
-  m.snapshots = snapshots_;
-  m.faulted = fault_.faulted();
-  {
-    // Topology lock: attach/detach mutate the per-query vectors on the
-    // caller thread; the element internals stay lock-free relaxed slots.
-    std::lock_guard<std::mutex> lock(topology_mu_);
-    m.queries = collect_store_stats();
-    stream_.collect(m.streams);
-  }
+  EngineMetrics m = resident_.metrics(
+      "sharded",
+      [this](std::size_t q, StoreStats& s) -> const kv::ShardedBackingStore& {
+        return slot_stats(q, s);
+      });
   collect_pipeline(m);
-  m.batch_ns = batch_ns_.snapshot();
-  m.snapshot_ns = snapshot_ns_.snapshot();
   m.absorb_ns = absorb_ns_.snapshot();
-  fill_driver_metrics(m);
   return m;
 }
 
 const kv::ShardedBackingStore& ShardedEngine::backing(
     std::string_view query_name) const {
-  for (std::size_t q = 0; q < plans_.size(); ++q) {
-    if (plans_[q] != nullptr && plans_[q]->name == query_name) {
-      return *backings_[q];
-    }
+  const std::size_t q = resident_.find_switch(query_name);
+  if (q == ResidentQueries::npos) {
+    throw QueryError{"result",
+                     "no switch query named '" + std::string{query_name} + "'"};
   }
-  throw QueryError{"result",
-                   "no switch query named '" + std::string{query_name} + "'"};
+  return *backings_[q];
 }
 
 }  // namespace perfq::runtime

@@ -54,6 +54,11 @@
 // additionally guarded by a configurable watchdog (drain_timeout) that
 // converts a wedged pipeline into an EngineFaultError carrying a diagnostic
 // dump. See engine_fault.hpp and engine_api.hpp ("Failure semantics").
+//
+// Everything that does not depend on how records fold — attach validation,
+// the slot registry, stream sinks (evaluated on the caller thread), result
+// tables, the refresh clock, driver telemetry and the caller-side fault
+// gate — is the shared resident-query layer (resident.hpp).
 #pragma once
 
 #include <atomic>
@@ -78,8 +83,6 @@
 #include "runtime/engine_api.hpp"
 #include "runtime/engine_fault.hpp"
 #include "runtime/fold_core.hpp"
-#include "runtime/stream_stage.hpp"
-#include "runtime/table.hpp"
 
 namespace perfq::runtime {
 
@@ -144,9 +147,6 @@ class ShardedEngine final : public Engine {
   /// results (cross-shard union is exact; see file comment). Call once.
   void finish(Nanos now) override;
 
-  [[nodiscard]] const ResultTable& result() const override;
-  [[nodiscard]] const ResultTable& table(std::string_view name) const override;
-
   /// Mid-run pull without stopping the pipeline: an in-band snapshot marker
   /// is broadcast at the current record boundary (seq 2·records); each shard
   /// worker, on merging past it, hands its pending evictions to the merge
@@ -201,18 +201,9 @@ class ShardedEngine final : public Engine {
   [[nodiscard]] const kv::ShardedBackingStore& backing(
       std::string_view query_name) const;
 
-  [[nodiscard]] std::uint64_t records_processed() const override {
-    return records_;
-  }
-  [[nodiscard]] std::uint64_t refresh_count() const override {
-    return refreshes_;
-  }
   [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
   [[nodiscard]] std::size_t num_dispatchers() const {
     return dispatchers_.size();
-  }
-  [[nodiscard]] const compiler::CompiledProgram& program() const override {
-    return program_;
   }
 
  private:
@@ -365,8 +356,12 @@ class ShardedEngine final : public Engine {
   /// dead peer. Set on first fault (and never cleared — the engine is
   /// poisoned). Idempotent.
   void begin_stop() noexcept;
+  /// The fault gate's hook: a caller-side fault also stops the pipeline.
+  [[nodiscard]] auto stopper() {
+    return [this]() noexcept { begin_stop(); };
+  }
   /// Poisoned-state gate at every mutating entry point.
-  void throw_if_faulted();
+  void throw_if_faulted() { resident_.throw_if_faulted(stopper()); }
   /// One backoff step of a caller-side drain spin. When `what` is non-null
   /// the spin is watchdog-guarded: past the drain deadline it records a
   /// kWatchdog fault carrying pipeline_diagnostic() and raises stop (it does
@@ -389,6 +384,16 @@ class ShardedEngine final : public Engine {
                       std::uint64_t base, std::span<const FlushEvent> flushes,
                       std::uint64_t watermark_seq);
   void run_stream_sinks(std::span<const PacketRecord> records);
+  /// Slot q's cache slice for one shard, its evictions staged into the
+  /// shard's eviction buffer (the merge thread absorbs them).
+  [[nodiscard]] std::unique_ptr<kv::Cache> make_slice(
+      Shard& sh, std::size_t q, const compiler::SwitchQueryPlan& plan,
+      const kv::CacheGeometry& slice) const;
+  /// One shard's bucket slice of a query geometry; ConfigError unless the
+  /// buckets divide evenly across the shards.
+  [[nodiscard]] kv::CacheGeometry shard_slice(const kv::CacheGeometry& geometry,
+                                              const std::string& query,
+                                              const char* what) const;
   /// Hand the worker's staged evictions to the merge thread, maintaining
   /// the pushed counter the snapshot drain barrier reads.
   static void push_evictions(Shard& sh);
@@ -402,16 +407,11 @@ class ShardedEngine final : public Engine {
   /// The batch-dispatch body of process_batch (which wraps it in the
   /// poisoned-state machinery).
   void process_batch_impl(std::span<const PacketRecord> records);
-  [[nodiscard]] EngineSnapshot snapshot_impl(std::size_t query, Nanos now);
   /// Steps 1-4 of the mid-run snapshot: rendezvous at the record boundary,
   /// drain evictions, overlay every shard's cache copy on a clone of the
-  /// concurrent store. Shared by snapshot_impl and export_store.
+  /// concurrent store. Shared by snapshot and export_store.
   [[nodiscard]] std::unique_ptr<kv::ShardedBackingStore> snapshot_merged_store(
       std::size_t query, Nanos now);
-  /// Name → resident query index, or throws QueryError (shared by
-  /// snapshot/export_store name resolution).
-  [[nodiscard]] std::size_t resolve_switch_query(std::string_view query_name,
-                                                 const char* what) const;
   /// Quiesce at the current record boundary: broadcast a kBarrier through
   /// the caller's rings, wait for every worker's ack, then run the eviction
   /// drain barrier — on return nothing is in flight and the backing stores
@@ -428,65 +428,42 @@ class ShardedEngine final : public Engine {
   /// The cache-placement hash from a key's raw (seed-0) hash; identical to
   /// kv::placement_hash(key, hash_seed) without needing the key.
   [[nodiscard]] std::uint64_t placement_of_raw(std::uint64_t raw) const;
-  [[nodiscard]] const ResultTable* find_table(int index) const;
-  /// store_stats() minus the fault gate (metrics() must work poisoned).
-  [[nodiscard]] std::vector<StoreStats> collect_store_stats() const;
+  /// Cache counters of one slot summed across shards; returns its backing
+  /// store (the shared layer reads the rest of StoreStats from it).
+  const kv::ShardedBackingStore& slot_stats(std::size_t q, StoreStats& s) const;
   /// Fill the pipeline-state part of an EngineMetrics (shards, dispatchers,
   /// rings, merge state). Lock-free — also safe from the watchdog's
   /// diagnostic path while threads are wedged.
   void collect_pipeline(EngineMetrics& m) const;
 
-  compiler::CompiledProgram program_;
+  /// Topology knobs; `engine` was moved into the resident layer (read it
+  /// through resident_.config()).
   ShardedEngineConfig config_;
   std::uint64_t seed_mix_ = 0;  ///< mix64(hash_seed), precomputed
-  /// Per switch query; a DETACHED query's slot is nulled in place (never
-  /// erased — message `query` fields and eviction-sink closures index these
-  /// vectors, so resident indices must stay stable).
-  std::vector<const compiler::SwitchQueryPlan*> plans_;
+  // Per switch query, indexed by resident slot; a DETACHED query's entries
+  // are nulled in place (never erased — message `query` fields and
+  // eviction-sink closures index these vectors, so slot indices must stay
+  // stable).
   /// Record-direct router per plan; nullopt = computed key, expression path.
   std::vector<std::optional<compiler::KeyRouter>> routers_;
   std::vector<std::unique_ptr<kv::ShardedBackingStore>> backings_;
-  /// Parallel to plans_: the owned program of a dynamically attached query
-  /// (its plan pointer points into it); null for base-program queries.
-  std::vector<std::shared_ptr<const compiler::CompiledProgram>>
-      attached_programs_;
-  std::vector<std::uint64_t> attach_records_;  ///< attach epoch per query
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<Dispatcher>> dispatchers_;
-  StreamStage stream_;
   std::vector<FlushEvent> flush_events_;  ///< per-batch scratch (caller only)
   std::vector<PacketRecord> wire_pending_;  ///< wire-burst scratch (caller only)
   std::thread merge_thread_;
   std::atomic<bool> merge_stop_{false};
   std::atomic<bool> merge_exited_{false};
   /// Failure-domain state: the first exception from any engine thread (or a
-  /// watchdog expiry) wins fault_, raises stop_, and poisons the engine —
-  /// see engine_fault.hpp and the "Failure semantics" notes in
-  /// engine_api.hpp.
-  FaultSlot fault_;
+  /// watchdog expiry) wins the resident layer's fault slot, raises stop_,
+  /// and poisons the engine — see engine_fault.hpp and the "Failure
+  /// semantics" notes in engine_api.hpp. The pipeline threads never take
+  /// the topology lock: attach/detach mutate per-slot state only after the
+  /// quiesce barrier proves nothing is in flight.
   std::atomic<bool> stop_{false};
-  std::map<int, ResultTable> tables_;
-  /// Final tables of queries still attached at finish(), by name.
-  std::map<std::string, ResultTable, std::less<>> attached_tables_;
-  /// Guards the query TOPOLOGY (plans_/routers_/backings_/shard cache+core
-  /// vectors, stream entries) against metrics()/store_stats() readers. The
-  /// pipeline threads never take it: attach/detach mutate only after the
-  /// quiesce barrier proves nothing is in flight, and they are serialized
-  /// with process_batch()/snapshot() by the caller (engine_api.hpp).
-  mutable std::mutex topology_mu_;
-  /// Telemetry slots (single writer: the caller thread, except absorb_ns_
-  /// whose writer is the merge thread; metrics() reads from anywhere).
-  obs::RelaxedU64 records_;
-  obs::RelaxedU64 refreshes_;
-  obs::RelaxedU64 batches_;
-  obs::RelaxedU64 snapshots_;
-  std::uint32_t batch_tick_ = 0;  ///< sampling phase for small-batch timing
-  obs::LatencyHistogram batch_ns_;
-  obs::LatencyHistogram snapshot_ns_;
-  obs::LatencyHistogram absorb_ns_;  ///< merge-thread absorb sweep latency
+  /// Merge-thread absorb sweep latency (single writer: the merge thread).
+  obs::LatencyHistogram absorb_ns_;
   std::uint64_t snapshot_gen_ = 0;  ///< caller-side snapshot generation
-  Nanos next_refresh_{0};
-  bool finished_ = false;
   bool threads_stopped_ = false;
 };
 

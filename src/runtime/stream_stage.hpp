@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "compiler/program.hpp"
-#include "runtime/engine_api.hpp"
+#include "runtime/engine_types.hpp"
 #include "runtime/table.hpp"
 
 namespace perfq::runtime {

@@ -1,6 +1,5 @@
 #include "service/fabric_service.hpp"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/error.hpp"
@@ -40,17 +39,9 @@ FabricTenantInfo FabricService::attach(const std::string& name,
   // against the shared per-die budget (see the file comment).
   const kv::CacheGeometry g = geometry.value_or(config_.tenant_geometry);
   const auto& plan = program.switch_plans.front();
-  const double bpp = analysis::AdmissionBudget::bits_per_pair(
-      plan.key_bytes(), plan.kernel->state_dims());
-  const double fraction = config_.budget.price(g.total_slots(), bpp);
-  if (!config_.budget.would_admit(fraction)) {
-    char frac[64];
-    std::snprintf(frac, sizeof(frac), "%.4f%% + %.4f%% > %.4f%%",
-                  config_.budget.used_die_fraction * 100.0, fraction * 100.0,
-                  config_.budget.max_die_fraction * 100.0);
-    throw ConfigError{"fabric attach: '" + name +
-                      "' exceeds the per-switch die-area budget (" + frac + ")"};
-  }
+  const double fraction = config_.budget.admit(
+      g.total_slots(), plan.key_bytes(), plan.kernel->state_dims(),
+      "fabric attach: per-switch slice of '" + name + "'");
 
   runtime::AttachOptions options;
   options.name = name;

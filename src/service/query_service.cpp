@@ -74,18 +74,9 @@ TenantInfo QueryService::attach(const std::string& name,
     // admission price and the engine's allocation can never disagree.
     const kv::CacheGeometry g = geometry.value_or(config_.tenant_geometry);
     const auto& plan = program.switch_plans.front();
-    const double bpp = analysis::AdmissionBudget::bits_per_pair(
-        plan.key_bytes(), plan.kernel->state_dims());
-    tenant.die_fraction = config_.budget.price(g.total_slots(), bpp);
-    if (!config_.budget.would_admit(tenant.die_fraction)) {
-      char frac[64];
-      std::snprintf(frac, sizeof(frac), "%.4f%% + %.4f%% > %.4f%%",
-                    config_.budget.used_die_fraction * 100.0,
-                    tenant.die_fraction * 100.0,
-                    config_.budget.max_die_fraction * 100.0);
-      throw ConfigError{"attach: '" + name +
-                        "' exceeds the die-area budget (" + frac + ")"};
-    }
+    tenant.die_fraction =
+        config_.budget.admit(g.total_slots(), plan.key_bytes(),
+                             plan.kernel->state_dims(), "attach: '" + name + "'");
     options.geometry = g;
   } else {
     // Stream tenants hold no switch state: free. If the caller gave no

@@ -19,6 +19,7 @@
 #include "common/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/metrics_export.hpp"
+#include "obs/sampler.hpp"
 #include "runtime/engine_builder.hpp"
 #include "runtime/stream_sink.hpp"
 #include "runtime_test_util.hpp"
@@ -347,8 +348,9 @@ TEST(MetricsSampler, CollectsABoundedMonotoneSeries) {
   auto engine =
       EngineBuilder(compiler::compile_source("SELECT COUNT GROUPBY 5tuple"))
           .geometry(kv::CacheGeometry::set_associative(1024, 8))
-          .metrics_sampler(std::chrono::milliseconds(1), /*capacity=*/8)
           .build();
+  obs::MetricsSampler sampler(*engine, std::chrono::milliseconds(1),
+                              /*capacity=*/8);
   const std::span<const PacketRecord> span(records);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(60);
@@ -356,7 +358,7 @@ TEST(MetricsSampler, CollectsABoundedMonotoneSeries) {
     engine->process_batch(span.first(256));
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  const auto series = engine->metrics_series();
+  const auto series = sampler.series();
   ASSERT_FALSE(series.empty());
   EXPECT_LE(series.size(), 8u);  // bounded: oldest samples dropped
   for (std::size_t i = 1; i < series.size(); ++i) {
@@ -364,21 +366,19 @@ TEST(MetricsSampler, CollectsABoundedMonotoneSeries) {
     EXPECT_GE(series[i].metrics.records, series[i - 1].metrics.records);
   }
   engine->finish(11_s);
-  // The wrapper is invisible to the driver surface.
+  // The sampler only reads: the driver surface is unperturbed.
   EXPECT_EQ(engine->metrics().records, engine->records_processed());
 }
 
 TEST(MetricsSampler, RejectsBadConfig) {
-  EXPECT_THROW(
+  auto engine =
       EngineBuilder(compiler::compile_source("SELECT COUNT GROUPBY srcip"))
-          .metrics_sampler(std::chrono::milliseconds(0))
-          .build(),
-      ConfigError);
-  EXPECT_THROW(
-      EngineBuilder(compiler::compile_source("SELECT COUNT GROUPBY srcip"))
-          .metrics_sampler(std::chrono::milliseconds(1), /*capacity=*/0)
-          .build(),
-      ConfigError);
+          .build();
+  EXPECT_THROW(obs::MetricsSampler(*engine, std::chrono::milliseconds(0)),
+               ConfigError);
+  EXPECT_THROW(obs::MetricsSampler(*engine, std::chrono::milliseconds(1),
+                                   /*capacity=*/0),
+               ConfigError);
 }
 
 // ---- concurrent reads (the TSan test) ---------------------------------------

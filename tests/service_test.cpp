@@ -318,54 +318,70 @@ TEST(AttachOracle, StreamTenantRowsMatchSuffixOracle) {
 // ---- validation: clean rejection, never degraded state ---------------------
 
 TEST(AttachValidation, RejectsNonAttachableProgramsWithoutStateChange) {
-  auto engine = make_engine(kBaseSource, Topology{4, 1}, 0_s);
-  const auto records = test_workload();
-  engine->process_batch(std::span{records}.subspan(0, 2000));
+  for (const Topology topo : {Topology{0, 1}, Topology{4, 1}}) {
+    SCOPED_TRACE(topo.label());
+    auto engine = make_engine(kBaseSource, topo, 0_s);
+    const auto records = test_workload();
+    engine->process_batch(std::span{records}.subspan(0, 2000));
 
-  AttachOptions options;
-  options.name = "t";
-  // Multi-result program (two switch plans).
-  EXPECT_THROW(engine->attach_query(
-                   compiler::compile_source("R1 = SELECT COUNT GROUPBY 5tuple\n"
-                                            "R2 = SELECT COUNT GROUPBY qid\n",
-                                            kParams),
-                   options),
-               ConfigError);
-  // Collection layer downstream of the GROUPBY.
-  EXPECT_THROW(
-      engine->attach_query(
-          compiler::compile_source(
-              "R1 = SELECT COUNT GROUPBY 5tuple\n"
-              "R2 = SELECT * FROM R1 WHERE COUNT > K\n",
-              kParams),
-          options),
-      ConfigError);
-  // Name collisions: base query, then a live tenant.
-  options.name = "BASE";
-  EXPECT_THROW(engine->attach_query(
-                   compiler::compile_source(kEwmaSource, kParams), options),
-               ConfigError);
-  options.name = "t";
-  engine->attach_query(compiler::compile_source(kEwmaSource, kParams),
-                       options);
-  EXPECT_THROW(engine->attach_query(
-                   compiler::compile_source(kEwmaSource, kParams), options),
-               ConfigError);
-  // Sharded slice constraint: buckets must divide into shards.
-  options.name = "odd";
-  options.geometry = kv::CacheGeometry::set_associative(66, 2);  // 33 buckets
-  EXPECT_THROW(engine->attach_query(
-                   compiler::compile_source(kEwmaSource, kParams), options),
-               ConfigError);
-  // Detach of base-program and unknown names.
-  EXPECT_THROW((void)engine->detach_query("BASE", 1_s), ConfigError);
-  EXPECT_THROW((void)engine->detach_query("nosuch", 1_s), QueryError);
+    AttachOptions options;
+    options.name = "t";
+    // Multi-result program (two switch plans).
+    EXPECT_THROW(engine->attach_query(
+                     compiler::compile_source("R1 = SELECT COUNT GROUPBY 5tuple\n"
+                                              "R2 = SELECT COUNT GROUPBY qid\n",
+                                              kParams),
+                     options),
+                 ConfigError);
+    // Collection layer downstream of the GROUPBY.
+    EXPECT_THROW(
+        engine->attach_query(
+            compiler::compile_source(
+                "R1 = SELECT COUNT GROUPBY 5tuple\n"
+                "R2 = SELECT * FROM R1 WHERE COUNT > K\n",
+                kParams),
+            options),
+        ConfigError);
+    // Name collisions: base query, then a live tenant.
+    options.name = "BASE";
+    EXPECT_THROW(engine->attach_query(
+                     compiler::compile_source(kEwmaSource, kParams), options),
+                 ConfigError);
+    options.name = "t";
+    engine->attach_query(compiler::compile_source(kEwmaSource, kParams),
+                         options);
+    EXPECT_THROW(engine->attach_query(
+                     compiler::compile_source(kEwmaSource, kParams), options),
+                 ConfigError);
+    // An empty name, and a name held by a live stream tenant.
+    options.name = "";
+    EXPECT_THROW(engine->attach_query(
+                     compiler::compile_source(kEwmaSource, kParams), options),
+                 ConfigError);
+    options.name = "s";
+    engine->attach_query(compiler::compile_source(kStreamSource, kParams),
+                         options);
+    EXPECT_THROW(engine->attach_query(
+                     compiler::compile_source(kEwmaSource, kParams), options),
+                 ConfigError);
+    // Sharded slice constraint: buckets must divide into shards.
+    if (topo.shards != 0) {
+      options.name = "odd";
+      options.geometry = kv::CacheGeometry::set_associative(66, 2);  // 33 buckets
+      EXPECT_THROW(engine->attach_query(
+                       compiler::compile_source(kEwmaSource, kParams), options),
+                   ConfigError);
+    }
+    // Detach of base-program and unknown names.
+    EXPECT_THROW((void)engine->detach_query("BASE", 1_s), ConfigError);
+    EXPECT_THROW((void)engine->detach_query("nosuch", 1_s), QueryError);
 
-  // None of the rejections perturbed the engine: it still folds and ends.
-  engine->process_batch(std::span{records}.subspan(2000, 1000));
-  engine->finish(12_s);
-  EXPECT_EQ(engine->records_processed(), 3000u);
-  EXPECT_GT(engine->table("t").row_count(), 0u);
+    // None of the rejections perturbed the engine: it still folds and ends.
+    engine->process_batch(std::span{records}.subspan(2000, 1000));
+    engine->finish(12_s);
+    EXPECT_EQ(engine->records_processed(), 3000u);
+    EXPECT_GT(engine->table("t").row_count(), 0u);
+  }
 }
 
 TEST(AttachValidation, AttachEpochRecordedInStatsAndMetrics) {
