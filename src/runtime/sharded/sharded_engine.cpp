@@ -1006,35 +1006,9 @@ std::unique_ptr<kv::ShardedBackingStore> ShardedEngine::snapshot_merged_store(
   // the boundary → eviction drain barrier) are the cost of *reaching* the
   // coherent point; the overlay in step 4 is ordinary copying.
   const std::uint64_t t0 = resident_.begin_pull();
-  // 1. Broadcast the snapshot marker through the caller's rings at the
-  // current record boundary. Its seq (2·records) orders after every
-  // dispatched record; the co-dispatcher watermarks of the last batch carry
-  // the same bound, so every worker's merge can prove it safe without any
-  // new traffic.
-  const std::uint64_t gen = ++snapshot_gen_;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    ShardMsg msg;
-    msg.kind = ShardMsg::Kind::kSnapshot;
-    msg.query = static_cast<std::uint16_t>(query);
-    msg.seq = 2 * resident_.records();
-    msg.raw_hash = gen;
-    msg.rec.tin = now;
-    stage(0, s, std::move(msg));
-    publish(0, s);
-  }
-
-  // 2. Wait for every worker to reach the boundary and publish its copy
-  // (acquire pairs with the worker's release store). Stop-aware: a worker
-  // that died before the boundary can never publish, and the watchdog
-  // converts a wedged one into a recorded fault.
-  for (auto& shard : shards_) {
-    SpinState spin;
-    while (shard->snapshot_ready.load(std::memory_order_acquire) != gen) {
-      if (resident_.fault().faulted()) resident_.fault().raise();
-      spin_backoff(spin, "the snapshot rendezvous");
-    }
-  }
-
+  // 1-2. Every worker reaches the record boundary and publishes its copy
+  // of the query's live cache slice (rendezvous()).
+  rendezvous(ShardMsg::Kind::kSnapshot, query, now, "the snapshot rendezvous");
   // 3. Drain barrier: every eviction produced before the boundary is now in
   // the MPSC queues (workers push before acking); wait until the merge
   // thread has absorbed them all, so the backing store is boundary-exact.
@@ -1065,24 +1039,26 @@ void ShardedEngine::drain_eviction_barrier(const char* what) {
   }
 }
 
-void ShardedEngine::quiesce_pipeline(const char* what) {
-  // The snapshot rendezvous without the cache copy: broadcast a kBarrier at
-  // the current record boundary through the caller's rings (seq 2·records
-  // orders after every dispatched record), wait for each worker's ack, then
-  // prove the backing stores caught up. On return nothing is in flight:
-  // every ring is drained past the boundary, every eviction absorbed, and
-  // the workers are between messages — safe to grow or free per-shard
-  // topology the next messages will see (ring publish/pop is the
-  // release/acquire pair ordering the caller's mutations for the workers).
+void ShardedEngine::rendezvous(ShardMsg::Kind kind, std::size_t query,
+                               Nanos now, const char* what) {
+  // Broadcast the marker through the caller's rings at the current record
+  // boundary. Its seq (2·records) orders after every dispatched record; the
+  // co-dispatcher watermarks of the last batch carry the same bound, so
+  // every worker's merge can prove it safe without any new traffic.
   const std::uint64_t gen = ++snapshot_gen_;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     ShardMsg msg;
-    msg.kind = ShardMsg::Kind::kBarrier;
+    msg.kind = kind;
+    msg.query = static_cast<std::uint16_t>(query);
     msg.seq = 2 * resident_.records();
     msg.raw_hash = gen;
+    msg.rec.tin = now;
     stage(0, s, std::move(msg));
     publish(0, s);
   }
+  // Wait for every worker's ack (acquire pairs with the worker's release
+  // store). Stop-aware: a worker that died before the boundary can never
+  // ack, and the watchdog converts a wedged one into a recorded fault.
   for (auto& shard : shards_) {
     SpinState spin;
     while (shard->snapshot_ready.load(std::memory_order_acquire) != gen) {
@@ -1090,6 +1066,16 @@ void ShardedEngine::quiesce_pipeline(const char* what) {
       spin_backoff(spin, what);
     }
   }
+}
+
+void ShardedEngine::quiesce_pipeline(const char* what) {
+  // The snapshot rendezvous without the cache copy, then the proof that the
+  // backing stores caught up. On return nothing is in flight: every ring is
+  // drained past the boundary, every eviction absorbed, and the workers are
+  // between messages — safe to grow or free per-shard topology the next
+  // messages will see (ring publish/pop is the release/acquire pair
+  // ordering the caller's mutations for the workers).
+  rendezvous(ShardMsg::Kind::kBarrier, 0, Nanos{0}, what);
   drain_eviction_barrier(what);
 }
 

@@ -412,6 +412,11 @@ class ShardedEngine final : public Engine {
   /// concurrent store. Shared by snapshot and export_store.
   [[nodiscard]] std::unique_ptr<kv::ShardedBackingStore> snapshot_merged_store(
       std::size_t query, Nanos now);
+  /// Broadcast a kSnapshot/kBarrier marker for `query` at the current
+  /// record boundary through the caller's rings and wait for every worker's
+  /// ack (a kSnapshot ack means its cache copy is in snapshot_out).
+  void rendezvous(ShardMsg::Kind kind, std::size_t query, Nanos now,
+                  const char* what);
   /// Quiesce at the current record boundary: broadcast a kBarrier through
   /// the caller's rings, wait for every worker's ack, then run the eviction
   /// drain barrier — on return nothing is in flight and the backing stores
