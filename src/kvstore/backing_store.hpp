@@ -95,11 +95,13 @@ class BackingStore {
     }
   }
 
-  /// Lift every entry out of the store for federation. Entry order is
+  /// Lift every entry out of the store for federation, with room reserved
+  /// for `spare` more (the keys an ExportOverlay may add). Entry order is
   /// unspecified (hash-map iteration); consumers sort or re-hash.
-  [[nodiscard]] std::vector<ExportedEntry> export_entries() const {
+  [[nodiscard]] std::vector<ExportedEntry> export_entries(
+      std::size_t spare = 0) const {
     std::vector<ExportedEntry> out;
-    out.reserve(entries_.size());
+    out.reserve(entries_.size() + spare);
     for (const auto& [key, e] : entries_) {
       out.push_back(
           ExportedEntry{key, e.value, e.segments, e.packets, e.segments.size() <= 1});
@@ -115,6 +117,14 @@ class BackingStore {
     std::vector<ValueSegment> segments;  ///< non-linear folds only
     std::uint64_t packets = 0;
   };
+
+  friend class ExportOverlay;
+
+  /// The one per-entry merge: fold eviction `ev` into `entry` (an Entry or
+  /// an ExportedEntry; `first` when the key has no earlier value). Merges
+  /// linear and associative folds exactly, appends a segment otherwise.
+  template <typename E>
+  void merge(E& entry, bool first, const EvictedValue& ev) const;
 
   /// Re-apply `records` to `state` with the ground-truth update.
   [[nodiscard]] StateVector replay(StateVector state,
@@ -132,6 +142,32 @@ class BackingStore {
   obs::RelaxedU64 capacity_writes_;
   obs::RelaxedU64 key_count_;
   obs::RelaxedU64 valid_keys_;
+};
+
+/// The mid-run read: a live store's export with values not yet absorbed —
+/// a cache's snapshot_into() copies, at most one per key — merged on top by
+/// absorb()'s per-entry merge. The export is indexed once by cached key hash
+/// (one flat table), so neither the backing map is copied nor the store
+/// touched.
+class ExportOverlay {
+ public:
+  explicit ExportOverlay(std::vector<ExportedEntry> entries);
+
+  /// Merge `ev` into its key's entry with `store`'s merge; a key the export
+  /// lacks is added with `ev` as its first epoch.
+  void merge(const BackingStore& store, const EvictedValue& ev);
+
+  [[nodiscard]] std::vector<ExportedEntry> take() && {
+    return std::move(entries_);
+  }
+
+ private:
+  /// The index slot holding `key`'s entry, or the empty slot ending its probe.
+  [[nodiscard]] std::uint32_t& slot(const Key& key);
+
+  std::vector<ExportedEntry> entries_;
+  std::vector<std::uint32_t> slots_;  ///< entry index + 1; 0 = empty
+  std::size_t mask_ = 0;
 };
 
 }  // namespace perfq::kv

@@ -82,6 +82,13 @@ struct StoreExport {
   std::uint64_t records = 0;    ///< source engine records at export time
   Nanos time;                   ///< export stamp (snapshot/finish `now`)
   std::vector<ExportedEntry> entries;
+
+  /// Visit (key, merged value, valid) — the read surface of BackingStore,
+  /// so runtime::materialize_switch_table() renders one export directly.
+  template <typename F>
+  void for_each(F&& fn) const {
+    for (const ExportedEntry& e : entries) fn(e.key, e.value, e.valid);
+  }
 };
 
 /// The network-wide merged store. Same read surface shape as BackingStore /

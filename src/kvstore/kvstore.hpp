@@ -6,6 +6,7 @@
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "kvstore/backing_store.hpp"
 #include "kvstore/cache.hpp"
@@ -39,6 +40,15 @@ class KeyValueStore {
   /// backing store (the cache's copy is partial for previously-evicted keys).
   [[nodiscard]] const StateVector* read(const Key& key) const {
     return backing_.lookup(key);
+  }
+
+  /// The application pull (§3.2): the backing store's entries with the live
+  /// cache merged on top as a flush at `now` would, disturbing neither.
+  [[nodiscard]] std::vector<ExportedEntry> export_entries(Nanos now) const {
+    ExportOverlay out(backing_.export_entries(cache_.occupancy()));
+    cache_.snapshot_into(
+        now, [&](EvictedValue&& ev) { out.merge(backing_, ev); });
+    return std::move(out).take();
   }
 
   [[nodiscard]] const Cache& cache() const { return cache_; }

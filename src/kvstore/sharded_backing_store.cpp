@@ -15,15 +15,6 @@ ShardedBackingStore::ShardedBackingStore(
   }
 }
 
-std::unique_ptr<ShardedBackingStore> ShardedBackingStore::clone() const {
-  auto copy = std::make_unique<ShardedBackingStore>(kernel_, subs_.size());
-  for (std::size_t i = 0; i < subs_.size(); ++i) {
-    const std::lock_guard<std::mutex> lock(subs_[i]->mu);
-    copy->subs_[i]->store = subs_[i]->store;  // BackingStore is copyable
-  }
-  return copy;
-}
-
 void ShardedBackingStore::absorb(const EvictedValue& ev) {
   Sub& sub = sub_of(ev.key);
   const std::lock_guard<std::mutex> lock(sub.mu);

@@ -38,15 +38,6 @@ class ShardedBackingStore {
   /// Thread-safe merged-value read (copies under the sub-store lock).
   [[nodiscard]] std::optional<StateVector> read(const Key& key) const;
 
-  /// Deep copy of the whole store (each sub-store copied under its own lock;
-  /// sub-stores are snapshotted one at a time, so the copy is per-key — not
-  /// cross-key — consistent; the runtime quiesces the eviction path first
-  /// when it needs a record-boundary-exact clone). The clone keeps the same
-  /// key→sub routing, so further absorb() calls land on the right sub. This
-  /// is the sharded engines' mid-run snapshot substrate: overlay the live
-  /// cache contents on the clone without disturbing the concurrent store.
-  [[nodiscard]] std::unique_ptr<ShardedBackingStore> clone() const;
-
   /// Thread-safe copy of a key's non-linear value segments.
   [[nodiscard]] std::vector<ValueSegment> segments(const Key& key) const;
 
@@ -70,9 +61,14 @@ class ShardedBackingStore {
   }
 
   /// Lift every entry out of every sub-store (each sub locked only for its
-  /// own copy). Same per-key consistency caveat as clone().
-  [[nodiscard]] std::vector<ExportedEntry> export_entries() const {
+  /// own copy), with room reserved for `spare` more as in BackingStore.
+  /// Sub-stores are read one at a time, so the export is per-key — not
+  /// cross-key — consistent; the runtime quiesces the eviction path first
+  /// when it needs a record-boundary-exact export.
+  [[nodiscard]] std::vector<ExportedEntry> export_entries(
+      std::size_t spare = 0) const {
     std::vector<ExportedEntry> out;
+    out.reserve(key_count() + spare);
     for (const auto& sub : subs_) {
       const std::lock_guard<std::mutex> lock(sub->mu);
       auto part = sub->store.export_entries();
@@ -80,6 +76,12 @@ class ShardedBackingStore {
                  std::make_move_iterator(part.end()));
     }
     return out;
+  }
+
+  /// Merge `ev`, a value not yet absorbed, into an export of this store with
+  /// the merge of the sub-store its key routes to (see ExportOverlay).
+  void overlay(ExportOverlay& out, const EvictedValue& ev) const {
+    out.merge(sub_of(ev.key).store, ev);
   }
 
  private:

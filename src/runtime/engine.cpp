@@ -157,62 +157,24 @@ ResultTable QueryEngine::detach_query(std::string_view name, Nanos now) {
   resident_.enter("engine: detach after finish");
   const std::size_t q = resident_.detach_target(name);
   if (q == ResidentQueries::npos) return resident_.detach_stream(name);
-  const auto it = std::find_if(switches_.begin(), switches_.end(),
-                               [q](const SwitchInstance& sw) {
-                                 return sw.slot == q;
-                               });
-  // End this one query's window: flush its cache slice, materialize the
-  // final table, then free everything the attach allocated. Resident
-  // queries' stores are untouched.
-  ResultTable table = resident_.guarded([&] {
-    it->store->flush(now);
-    return resident_.materialize(q, it->store->backing());
-  });
+  // End this one query's window: export it at `now`, materialize the final
+  // table, then free everything the attach allocated. Resident queries'
+  // stores are untouched.
+  ResultTable table = resident_.materialize(q, export_store(name, now));
   const auto lock = resident_.topology_lock();
-  switches_.erase(it);
+  switches_.erase(std::find_if(
+      switches_.begin(), switches_.end(),
+      [q](const SwitchInstance& sw) { return sw.slot == q; }));
   resident_.release(q);
   return table;
 }
 
-kv::BackingStore QueryEngine::merged_copy(const SwitchInstance& sw,
-                                          Nanos now) const {
-  // The application pull (§3.2): overlay the live cache on a copy of the
-  // backing store through the ordinary exact-merge absorb — bit-for-bit what
-  // finish(now) would materialize, without disturbing either structure.
-  kv::BackingStore merged = sw.store->backing();
-  sw.store->cache().snapshot_into(
-      now, [&merged](kv::EvictedValue&& ev) { merged.absorb(ev); });
-  return merged;
-}
-
-EngineSnapshot QueryEngine::snapshot(std::string_view query_name, Nanos now) {
-  resident_.enter("engine: snapshot after finish");
-  const std::size_t q = resident_.switch_slot(query_name, "snapshot");
-  const std::uint64_t t0 = resident_.begin_pull();
-  return resident_.guarded([&] {
-    EngineSnapshot snap{resident_.materialize(q, merged_copy(instance(q), now)),
-                        resident_.records(), now};
-    resident_.end_pull(t0);
-    return snap;
-  });
-}
-
 kv::StoreExport QueryEngine::export_store(std::string_view query_name,
                                           Nanos now) {
-  resident_.throw_if_faulted();
-  const std::size_t q = resident_.switch_slot(query_name, "export_store");
-  return resident_.guarded([&] {
-    const SwitchInstance& sw = instance(q);
-    kv::StoreExport out;
-    out.query = std::string{query_name};
-    out.records = resident_.records();
-    out.time = now;
-    // After finish() the caches are flushed and the backing store IS the
-    // result; mid-run, the same record-boundary merge snapshot() performs.
-    out.entries = resident_.finished()
-                      ? sw.store->backing().export_entries()
-                      : merged_copy(sw, now).export_entries();
-    return out;
+  // Mid-run the live cache overlays the backing store; after finish() the
+  // cache is flushed, so the same read returns the backing store as is.
+  return resident_.export_store(query_name, now, [&](std::size_t q, bool) {
+    return instance(q).store->export_entries(now);
   });
 }
 

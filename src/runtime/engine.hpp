@@ -4,11 +4,12 @@
 // Every on-switch GROUPBY gets a programmable key-value store instance
 // (src/kvstore) with the chosen cache geometry, folded on the caller thread
 // by a SwitchFoldCore in two passes per chunk (key extraction + bucket
-// prefetch, then the fold). Mid-run pulls merge the live cache over a copy
-// of the query's backing store; finish() flushes every cache into its
-// backing store. Everything else — attach validation, the slot registry,
-// stream sinks, result tables, the refresh clock, telemetry and the
-// poisoned-state gate — is the shared resident-query layer (resident.hpp).
+// prefetch, then the fold). The one read, export_store(), merges the live
+// cache over the query's backing store as it exports it; finish() flushes
+// every cache into its backing store. Everything else — attach validation,
+// the slot registry, stream sinks, result tables, the refresh clock,
+// telemetry and the poisoned-state gate — is the shared resident-query layer
+// (resident.hpp).
 //
 // Construct through runtime::EngineBuilder unless you specifically need the
 // concrete type (engine-internals tests, the switch-pipeline comparison).
@@ -49,21 +50,15 @@ class QueryEngine final : public Engine {
   /// called exactly once before reading results.
   void finish(Nanos now) override;
 
-  /// Mid-run pull: live cache merged over a copy of the query's backing
-  /// store (exact for linear kernels; see the contract in engine_api.hpp).
-  using Engine::snapshot;
-  [[nodiscard]] EngineSnapshot snapshot(std::string_view query_name,
-                                        Nanos now) override;
-
-  /// Federation export (contract in engine_api.hpp): mid-run, the same
-  /// cache-over-backing-copy merge snapshot() performs; after finish(), the
-  /// final backing store read directly.
+  /// The engine read (contract in engine_api.hpp): the query's backing
+  /// store with its live cache merged on top — after finish() the cache is
+  /// empty and the backing store is returned as is.
   [[nodiscard]] kv::StoreExport export_store(std::string_view query_name,
                                              Nanos now) override;
 
   /// Dynamic attach/detach (lifecycle contract in engine_api.hpp): the new
   /// query gets its own key-value store (or stream sink) and starts folding
-  /// at the current record boundary; detach flushes, materializes and frees.
+  /// at the current record boundary; detach exports, materializes and frees.
   void attach_query(compiler::CompiledProgram program,
                     const AttachOptions& options) override;
   ResultTable detach_query(std::string_view name, Nanos now) override;
@@ -104,9 +99,6 @@ class QueryEngine final : public Engine {
       std::size_t slot, const compiler::SwitchQueryPlan& plan,
       const kv::CacheGeometry& geometry) const;
   [[nodiscard]] const SwitchInstance& instance(std::size_t slot) const;
-  /// The live cache merged over a copy of the backing store at `now`.
-  [[nodiscard]] kv::BackingStore merged_copy(const SwitchInstance& sw,
-                                             Nanos now) const;
   /// Cache counters of one slot; returns its backing store (the shared
   /// layer reads the rest of StoreStats from it).
   const kv::BackingStore& slot_stats(std::size_t slot, StoreStats& s) const;

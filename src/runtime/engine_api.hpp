@@ -9,37 +9,42 @@
 // concrete engine.
 //
 // Lifecycle:  build (EngineBuilder) → process_batch()* → finish(now) →
-// result()/table(). Two reads work MID-RUN, before finish():
-//   - snapshot(query[, now]): the paper's §3.2 application pull (below);
-//   - a RingStreamSink (stream_sink.hpp) drained from another thread.
+// result()/table(). MID-RUN, before finish(), results are read through
+// export_store() (below) and RingStreamSinks (stream_sink.hpp).
 //
-// ---- snapshot() consistency contract ---------------------------------------
+// ---- export_store(): the one engine read -----------------------------------
 //
-// snapshot(query, now) returns the result table of one on-switch GROUPBY as
-// of the current *record boundary* — the point after every record already
-// passed to process_batch() and before any record of a later call. It is the
-// paper's "monitoring applications can pull results" made exact:
+// export_store(query, now) lifts one on-switch GROUPBY's merged store out of
+// the engine as a kv::StoreExport (every key's merged value, plus value
+// segments for non-linear kernels), stamped with the record count and `now`:
+// the paper's §3.2 "monitoring applications can pull results" made exact,
+// and the unit a FederatedStore merges across engines.
 //
-//   - The snapshot reflects ALL records processed so far and NOTHING else:
-//     live cache contents are merged over the backing store with the same
-//     exact-merge machinery finish() uses, so for linear-in-state kernels the
-//     returned table is bit-for-bit the table a fresh engine fed the same
-//     record prefix would produce from finish(now). This holds for the serial
-//     AND the sharded engine (which reaches the boundary by draining its
-//     in-flight rings and eviction queues for the snapshot — no thread is
-//     stopped, folding resumes immediately after).
-//   - Kernels that are NOT linear in state have no merge function (§3.2):
-//     a key resident in the cache at snapshot time contributes one extra
-//     value segment covering [its epoch start, now), exactly as a flush at
-//     `now` would. Per-segment values are correct over their own intervals;
-//     whole-window validity is the same Fig. 6 semantics finish() reports.
+//   - Mid-run it is exact at the current *record boundary* — after every
+//     record already passed to process_batch(), before any record of a later
+//     call: the live cache is merged over the backing store by the per-entry
+//     merge BackingStore::absorb applies, as a flush at `now` would. For
+//     linear-in-state kernels it therefore materializes, bit for bit, to the
+//     table a fresh engine fed the same record prefix would produce from
+//     finish(now) — on the serial AND the sharded engine (which reaches the
+//     boundary with an in-band marker and an eviction drain; no thread is
+//     stopped). After finish() it is the final backing store as is.
+//   - Kernels NOT linear in state have no merge function (§3.2): a key
+//     resident in the cache contributes one extra value segment covering
+//     [its epoch start, now), exactly as a flush at `now` would. Segments
+//     are correct over their own intervals; whole-window validity is the
+//     same Fig. 6 semantics finish() reports.
 //   - The engine is not perturbed: caches, stats, refresh schedule and final
-//     results are identical whether or not snapshots were taken.
-//   - Cost: proportional to cache occupancy plus the backing store size of
-//     the one query (it is copied). A monitoring-rate read, not a hot path.
-//   - snapshot() must be called from the processing (caller) thread, between
-//     process_batch() calls; only stream-SELECT queries are excluded (their
-//     rows stream through StreamSinks instead).
+//     results are identical whether or not exports were taken. The backing
+//     map is not copied; the cost is one pass over the query's backing store
+//     plus its cache occupancy — a monitoring-rate read, not a hot path.
+//   - Each mid-run export is one pull in metrics().snapshots / snapshot_ns.
+//   - Call it from the processing (caller) thread between process_batch()
+//     calls. Stream SELECTs do not export; their rows go to StreamSinks.
+//
+// Derived from it: snapshot(query, now) is the export materialized as a
+// result table (mid-run only); detach_query(name, now) is the export
+// materialized as the tenant's final table, then the tenant's slot freed.
 //
 // ---- Failure semantics -----------------------------------------------------
 //
@@ -59,17 +64,18 @@
 //     shard index if any, and the original cause. Watchdog faults append a
 //     pipeline diagnostic (ring occupancy, per-thread state) to what().
 //   - The engine is then POISONED: every subsequent process_batch(),
-//     finish(), snapshot(), result(), table() and store_stats() call throws
-//     the SAME EngineFaultError. No call ever hangs, returns partial
-//     results, or std::terminate()s. Destruction is always safe.
+//     finish(), export_store(), snapshot(), attach/detach, result(), table()
+//     and store_stats() call throws the SAME EngineFaultError. No call ever
+//     hangs, returns partial results, or std::terminate()s. Destruction is
+//     always safe.
 //   - Argument errors thrown BEFORE any state changes (unknown snapshot
 //     name, double finish, process after finish) stay ordinary
 //     QueryError/ConfigError and do NOT poison the engine.
 //   - The sharded engine bounds every internal wait by the builder's
 //     drain_timeout (default 10 s, sharded-only knob): if the pipeline
 //     cannot make progress within the deadline — a wedged ring, a stuck
-//     snapshot rendezvous — a watchdog records a fault with a diagnostic
-//     dump instead of blocking the caller forever.
+//     export rendezvous (snapshot and detach included) — a watchdog records
+//     a fault with a diagnostic dump instead of blocking the caller forever.
 //
 // ---- Metrics coherence contract (obs/) -------------------------------------
 //
@@ -87,7 +93,7 @@
 //   - CROSS-counter invariants (cache hits + initializations == packets;
 //     shard evictions pushed == absorbed) hold exactly at quiescent points —
 //     between process_batch() calls on the serial engine, and after finish()
-//     (or a snapshot drain barrier) on the sharded one. Mid-run they hold up
+//     (or an export's drain barrier) on the sharded one. Mid-run they hold up
 //     to the records currently in flight.
 //   - metrics() on a POISONED engine does NOT throw: a monitor must be able
 //     to observe a wedged or crashed pipeline. `faulted` is set and the
@@ -131,22 +137,23 @@
 //     fold with refresh off, ULP-level otherwise (ewma under refresh).
 //     StoreStats::attach_records records the epoch.
 //   - detach_query(name, now) ends the query's window at the current record
-//     boundary: its cache slice is flushed at `now`, the final table is
-//     materialized and returned, and every resource the attach allocated
-//     (cache slice, fold-core scratch, backing store, plan storage) is
-//     freed. Only dynamically attached queries can be detached — detaching a
+//     boundary: export_store(name, now) is materialized and returned as the
+//     final table, and every resource the attach allocated (cache slice,
+//     fold-core scratch, backing store, plan storage) is freed. Only
+//     dynamically attached queries can be detached — detaching a
 //     base-program query would orphan the collection layer and is a
 //     ConfigError. Resident queries are NOT perturbed: their caches are not
 //     flushed and their final tables are byte-identical whether or not a
 //     neighbor detached. Queries still attached at finish(now) end with the
 //     window; their tables remain readable via table(name).
 //   - Threading: attach_query/detach_query belong to the PROCESSING domain —
-//     the caller must serialize them with process_batch()/finish()/snapshot()
-//     exactly as it serializes those with each other (QueryService does this
-//     with one mutex; thread identity does not matter, only serialization at
-//     batch boundaries). metrics()/store_stats() stay safe from ANY thread
-//     concurrently with an attach/detach — topology mutations are guarded
-//     against the metrics readers, never against the hot path.
+//     the caller must serialize them with process_batch()/finish()/
+//     export_store() exactly as it serializes those with each other
+//     (QueryService does this with one mutex; thread identity does not
+//     matter, only serialization at batch boundaries). metrics() and
+//     store_stats() stay safe from ANY thread concurrently with an
+//     attach/detach — topology mutations are guarded against the metrics
+//     readers, never against the hot path.
 //   - Poisoned-engine interaction: attach/detach on a poisoned engine throw
 //     the recorded EngineFaultError like every other mutating call.
 //     Validation failures (bad program shape, name collision, over-budget
@@ -208,37 +215,35 @@ class Engine {
     return resident_.table(name);
   }
 
-  /// Mid-run result pull for one on-switch GROUPBY (see the consistency
-  /// contract in the file comment). `now` stamps the open epoch's end (it
-  /// only affects non-linear kernels' segment intervals).
-  [[nodiscard]] virtual EngineSnapshot snapshot(std::string_view query_name,
-                                                Nanos now) = 0;
-  [[nodiscard]] EngineSnapshot snapshot(std::string_view query_name) {
-    return snapshot(query_name, Nanos{0});
-  }
-
-  /// Lift one on-switch GROUPBY's merged store out of the engine as the
-  /// cross-engine federation unit (kvstore/federated.hpp): every key's
-  /// merged value/segments, stamped with the engine's record count and
-  /// `now`. Mid-run it observes the same record boundary as snapshot() —
-  /// live cache contents merged over a copy of the backing store, engine
-  /// unperturbed; after finish() it reads the final backing store directly
-  /// (the one read that works both mid-run and post-finish). Same
-  /// serialization and poisoned-engine rules as snapshot().
+  /// The one engine read (contract in the file comment): one on-switch
+  /// GROUPBY's store, stamped with the record boundary and `now`. Mid-run
+  /// the live cache is merged on top; after finish() it is the final backing
+  /// store as is.
   [[nodiscard]] virtual kv::StoreExport export_store(std::string_view query_name,
                                                      Nanos now) = 0;
+
+  /// Mid-run result pull: export_store() materialized as a result table.
+  /// Only before finish(). `now` stamps the open epoch's end (it only
+  /// affects non-linear kernels' segment intervals).
+  [[nodiscard]] EngineSnapshot snapshot(std::string_view query_name, Nanos now) {
+    resident_.enter("engine: snapshot after finish");
+    const std::size_t q = resident_.switch_slot(query_name, "snapshot");
+    const kv::StoreExport exported = export_store(query_name, now);
+    return EngineSnapshot{resident_.materialize(q, exported), exported.records,
+                          now};
+  }
 
   /// Attach one dynamically compiled query mid-stream (see the query
   /// lifecycle contract in the file comment). The program must be attachable
   /// — attachable_kind() in resident.hpp — and options.name unique among
   /// live queries; violations are ConfigError with no state change. Folding
   /// starts at the current record boundary (the attach epoch). Must be
-  /// serialized with process_batch()/finish()/snapshot() by the caller.
+  /// serialized with process_batch()/finish()/export_store() by the caller.
   virtual void attach_query(compiler::CompiledProgram program,
                             const AttachOptions& options) = 0;
 
-  /// Detach a dynamically attached query: flush its cache slice at `now`,
-  /// return its final table, free every resource the attach allocated.
+  /// Detach a dynamically attached query: export it at `now`, return the
+  /// export materialized, free every resource the attach allocated.
   /// Unknown or base-program names are a QueryError/ConfigError with no
   /// state change. Must be serialized like attach_query().
   virtual ResultTable detach_query(std::string_view name, Nanos now) = 0;

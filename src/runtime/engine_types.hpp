@@ -130,7 +130,9 @@ struct EngineMetrics {
   std::uint64_t records = 0;    ///< records accepted by process_batch()
   std::uint64_t batches = 0;    ///< process_batch() calls
   std::uint64_t refreshes = 0;  ///< periodic cache refreshes performed
-  std::uint64_t snapshots = 0;  ///< mid-run snapshot() pulls served
+  /// One per mid-run export_store(), direct or through snapshot() or
+  /// detach_query(); exports after finish() do not count.
+  std::uint64_t snapshots = 0;
   bool faulted = false;         ///< poisoned-state protocol engaged
 
   // Per-query store stats (same shape store_stats() returns; valid mid-run).
@@ -145,7 +147,9 @@ struct EngineMetrics {
 
   // Latency histograms (log2-ns buckets; see obs::HistogramSnapshot).
   obs::HistogramSnapshot batch_ns;     ///< process_batch() wall time (sampled)
-  obs::HistogramSnapshot snapshot_ns;  ///< snapshot() rendezvous+drain latency
+  /// Per pull in `snapshots`: the export and its overlay (sharded: with the
+  /// rendezvous and drain), not the materialize a snapshot() adds.
+  obs::HistogramSnapshot snapshot_ns;
   obs::HistogramSnapshot absorb_ns;    ///< merge-thread absorb sweep latency
 
   // Ingest/replay accounting recorded by the trace layer (record_ingest /

@@ -33,6 +33,7 @@
 
 #include "common/error.hpp"
 #include "compiler/program.hpp"
+#include "kvstore/federated.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/collection.hpp"
 #include "runtime/engine_fault.hpp"
@@ -89,7 +90,6 @@ class ResidentQueries {
   [[nodiscard]] const EngineConfig& config() const { return config_; }
   [[nodiscard]] const std::vector<Slot>& slots() const { return slots_; }
   [[nodiscard]] StreamStage& stream() { return stream_; }
-  [[nodiscard]] bool finished() const { return finished_; }
   [[nodiscard]] FaultSlot& fault() { return fault_; }
   [[nodiscard]] const FaultSlot& fault() const { return fault_; }
 
@@ -152,7 +152,7 @@ class ResidentQueries {
     if (t0 != 0) batch_ns_.record(obs::now_ns() - t0);
   }
 
-  /// Count one mid-run pull (snapshot) and return its start stamp;
+  /// Count one mid-run pull (an export) and return its start stamp;
   /// end_pull() records its latency into snapshot_ns.
   [[nodiscard]] std::uint64_t begin_pull() {
     ++snapshots_;
@@ -185,6 +185,27 @@ class ResidentQueries {
 
   void record_ingest(const trace::IngestStats& stats);
   void record_replay(std::uint64_t records, std::uint64_t nanos);
+
+  /// Engine::export_store under the fault gate: resolve the switch query
+  /// `name`, stamp the export with the record boundary and `now`, fill it
+  /// with `entries(q, mid_run)`. Each mid-run export is one pull.
+  template <typename Entries, typename OnFault = NoStop>
+  [[nodiscard]] kv::StoreExport export_store(std::string_view name, Nanos now,
+                                             Entries&& entries,
+                                             OnFault&& on_fault = OnFault{}) {
+    throw_if_faulted(on_fault);
+    const std::size_t q = switch_slot(name, "export_store");
+    return guarded(
+        [&] {
+          const bool mid_run = !finished_;
+          const std::uint64_t t0 = mid_run ? begin_pull() : 0;
+          kv::StoreExport out{std::string{name}, records_, now,
+                              entries(q, mid_run)};
+          if (mid_run) end_pull(t0);
+          return out;
+        },
+        on_fault);
+  }
 
   // ---- attach / detach -----------------------------------------------------
 
@@ -243,8 +264,9 @@ class ResidentQueries {
 
   // ---- results -------------------------------------------------------------
 
-  /// Slot `q`'s result table materialized from `backing` (a BackingStore or
-  /// ShardedBackingStore), against the program that owns the slot's plan.
+  /// Slot `q`'s result table materialized from `backing` (a BackingStore,
+  /// ShardedBackingStore or StoreExport), against the program that owns the
+  /// slot's plan.
   template <typename Backing>
   [[nodiscard]] ResultTable materialize(std::size_t q,
                                         const Backing& backing) const {

@@ -632,7 +632,7 @@ void ShardedEngine::worker_process(Shard& sh, std::size_t i, ShardMsg& msg) {
       push_evictions(sh);
       break;
     case ShardMsg::Kind::kBarrier:
-      // Attach/detach quiesce: everything before the barrier is folded (the
+      // Attach quiesce: everything before the barrier is folded (the
       // merge delivered it in order); push pending evictions so the caller's
       // drain barrier can prove the backing stores boundary-exact, then ack.
       push_evictions(sh);
@@ -648,9 +648,10 @@ void ShardedEngine::worker_process(Shard& sh, std::size_t i, ShardMsg& msg) {
       PERFQ_FAILPOINT("sharded.snapshot_worker");
       push_evictions(sh);
       sh.snapshot_out.clear();
+      sh.snapshot_out.reserve(sh.caches[msg.query]->occupancy());
       sh.caches[msg.query]->snapshot_into(
-          msg.rec.tin, [&sh, &msg](kv::EvictedValue&& ev) {
-            sh.snapshot_out.push_back(TaggedEviction{msg.query, std::move(ev)});
+          msg.rec.tin, [&sh](kv::EvictedValue&& ev) {
+            sh.snapshot_out.push_back(std::move(ev));
           });
       sh.snapshot_ready.store(msg.raw_hash, std::memory_order_release);
       break;
@@ -968,62 +969,37 @@ void ShardedEngine::finish(Nanos now) {
       stopper());
 }
 
-EngineSnapshot ShardedEngine::snapshot(std::string_view query_name, Nanos now) {
-  resident_.enter("engine: snapshot after finish", stopper());
-  const std::size_t query = resident_.switch_slot(query_name, "snapshot");
-  return resident_.guarded(
-      [&] {
-        return EngineSnapshot{
-            resident_.materialize(query, *snapshot_merged_store(query, now)),
-            resident_.records(), now};
-      },
-      stopper());
-}
-
 kv::StoreExport ShardedEngine::export_store(std::string_view query_name,
                                             Nanos now) {
-  throw_if_faulted();
-  const std::size_t query = resident_.switch_slot(query_name, "export_store");
-  return resident_.guarded(
-      [&] {
-        kv::StoreExport out;
-        out.query = std::string{query_name};
-        out.records = resident_.records();
-        out.time = now;
+  return resident_.export_store(
+      query_name, now,
+      [&](std::size_t query, bool mid_run) {
         // After finish() the pipeline is joined and flushed: the concurrent
         // store IS the result.
-        out.entries = resident_.finished()
-                          ? backings_[query]->export_entries()
-                          : snapshot_merged_store(query, now)->export_entries();
-        return out;
+        if (!mid_run) return backings_[query]->export_entries();
+        // Every worker reaches the record boundary and copies its slice of
+        // the query's live cache (rendezvous()); workers push evictions
+        // before acking, so the drain barrier then proves the backing store
+        // boundary-exact. Nothing is in flight from here on.
+        rendezvous(ShardMsg::Kind::kSnapshot, query, now,
+                   "the snapshot rendezvous");
+        drain_eviction_barrier("the snapshot eviction drain barrier");
+        // Merge the copies over the export, then release them: a pull keeps
+        // no copy. Keys are disjoint across shards (each key folds on
+        // exactly one worker), so shard order cannot matter.
+        const kv::ShardedBackingStore& backing = *backings_[query];
+        std::size_t live = 0;
+        for (const auto& shard : shards_) live += shard->snapshot_out.size();
+        kv::ExportOverlay out(backing.export_entries(live));
+        for (auto& shard : shards_) {
+          for (const kv::EvictedValue& ev : shard->snapshot_out) {
+            backing.overlay(out, ev);
+          }
+          shard->snapshot_out = {};
+        }
+        return std::move(out).take();
       },
       stopper());
-}
-
-std::unique_ptr<kv::ShardedBackingStore> ShardedEngine::snapshot_merged_store(
-    std::size_t query, Nanos now) {
-  // Rendezvous latency tap: steps 1-3 (marker broadcast → every worker at
-  // the boundary → eviction drain barrier) are the cost of *reaching* the
-  // coherent point; the overlay in step 4 is ordinary copying.
-  const std::uint64_t t0 = resident_.begin_pull();
-  // 1-2. Every worker reaches the record boundary and publishes its copy
-  // of the query's live cache slice (rendezvous()).
-  rendezvous(ShardMsg::Kind::kSnapshot, query, now, "the snapshot rendezvous");
-  // 3. Drain barrier: every eviction produced before the boundary is now in
-  // the MPSC queues (workers push before acking); wait until the merge
-  // thread has absorbed them all, so the backing store is boundary-exact.
-  drain_eviction_barrier("the snapshot eviction drain barrier");
-  resident_.end_pull(t0);
-
-  // 4. Overlay the cache copies (all for `query` — the marker carried it)
-  // on a clone of the concurrent store with the ordinary exact-merge absorb.
-  // Keys are disjoint across shards (each key folds on exactly one worker),
-  // so shard order cannot matter.
-  std::unique_ptr<kv::ShardedBackingStore> merged = backings_[query]->clone();
-  for (auto& shard : shards_) {
-    for (TaggedEviction& t : shard->snapshot_out) merged->absorb(t.ev);
-  }
-  return merged;
 }
 
 void ShardedEngine::drain_eviction_barrier(const char* what) {
@@ -1068,17 +1044,6 @@ void ShardedEngine::rendezvous(ShardMsg::Kind kind, std::size_t query,
   }
 }
 
-void ShardedEngine::quiesce_pipeline(const char* what) {
-  // The snapshot rendezvous without the cache copy, then the proof that the
-  // backing stores caught up. On return nothing is in flight: every ring is
-  // drained past the boundary, every eviction absorbed, and the workers are
-  // between messages — safe to grow or free per-shard topology the next
-  // messages will see (ring publish/pop is the release/acquire pair
-  // ordering the caller's mutations for the workers).
-  rendezvous(ShardMsg::Kind::kBarrier, 0, Nanos{0}, what);
-  drain_eviction_barrier(what);
-}
-
 void ShardedEngine::attach_query(compiler::CompiledProgram program,
                                  const AttachOptions& options) {
   resident_.enter("engine: attach after finish", stopper());
@@ -1106,10 +1071,15 @@ void ShardedEngine::attach_query(compiler::CompiledProgram program,
     caches.push_back(make_slice(*shard, q, plan, slice));
     cores.push_back(std::make_unique<SwitchFoldCore>(plan, *caches.back()));
   }
-  // Quiesce so the per-shard vectors can grow with nothing in flight, then
-  // install the slot. The workers see the new entries through the next ring
-  // publish/pop pair; metrics readers through the topology lock.
-  quiesce_pipeline("the attach quiesce barrier");
+  // Quiesce so the per-shard vectors can grow with nothing in flight: the
+  // snapshot rendezvous without the cache copy, then the proof that the
+  // backing stores caught up. Then install the slot. The workers see the new
+  // entries through the next ring publish/pop pair (the release/acquire pair
+  // ordering these mutations for them); metrics readers through the
+  // topology lock.
+  const char* what = "the attach quiesce barrier";
+  rendezvous(ShardMsg::Kind::kBarrier, 0, Nanos{0}, what);
+  drain_eviction_barrier(what);
   throw_if_faulted();
   const auto lock = resident_.topology_lock();
   resident_.add_slot(std::move(tenant.program));
@@ -1127,37 +1097,22 @@ ResultTable ShardedEngine::detach_query(std::string_view name, Nanos now) {
   if (query == ResidentQueries::npos) {
     return resident_.detach_stream(name, stopper());
   }
-  return resident_.guarded(
-      [&] {
-        // 1. Quiesce: nothing in flight, backing stores boundary-exact.
-        quiesce_pipeline("the detach quiesce barrier");
-        throw_if_faulted();
-        // 2. End this query's window: flush its slices from the caller (the
-        // workers are idle between messages; evictions route through the
-        // per-shard sink closures into evict_buf exactly as a worker flush
-        // would), hand them to the merge thread, and drain again.
-        for (auto& shard : shards_) {
-          shard->caches[query]->flush(now);
-          push_evictions(*shard);
-        }
-        drain_eviction_barrier("the detach eviction drain");
-        throw_if_faulted();
-        // 3. The final table, from the now-complete backing store.
-        ResultTable table = resident_.materialize(query, *backings_[query]);
-        // 4. Free the slot in place (indices of resident queries never move;
-        // no message for this query can exist anymore). Resident queries'
-        // caches are untouched — their tables are byte-identical either way.
-        const auto lock = resident_.topology_lock();
-        for (auto& shard : shards_) {
-          shard->caches[query].reset();
-          shard->cores[query].reset();
-        }
-        backings_[query].reset();
-        routers_[query].reset();
-        resident_.release(query);
-        return table;
-      },
-      stopper());
+  // 1. The query's final table, from an export at `now`. Its rendezvous and
+  // drain barrier also quiesce the pipeline: every worker has acked the
+  // boundary and every eviction is absorbed, so nothing is in flight.
+  ResultTable table = resident_.materialize(query, export_store(name, now));
+  // 2. Free the slot in place (indices of resident queries never move; no
+  // message for this query can exist anymore). Resident queries' caches are
+  // untouched — their tables are byte-identical either way.
+  const auto lock = resident_.topology_lock();
+  for (auto& shard : shards_) {
+    shard->caches[query].reset();
+    shard->cores[query].reset();
+  }
+  backings_[query].reset();
+  routers_[query].reset();
+  resident_.release(query);
+  return table;
 }
 
 const kv::ShardedBackingStore& ShardedEngine::slot_stats(std::size_t q,

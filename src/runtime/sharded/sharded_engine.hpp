@@ -147,37 +147,27 @@ class ShardedEngine final : public Engine {
   /// results (cross-shard union is exact; see file comment). Call once.
   void finish(Nanos now) override;
 
-  /// Mid-run pull without stopping the pipeline: an in-band snapshot marker
-  /// is broadcast at the current record boundary (seq 2·records); each shard
-  /// worker, on merging past it, hands its pending evictions to the merge
-  /// thread and writes a non-destructive epoch-stamped copy of its live
-  /// cache slices; the caller waits for those copies and for the merge
-  /// thread to drain every pre-boundary eviction, then overlays them on a
-  /// clone of the concurrent backing store with the exact-merge machinery.
-  /// No thread is joined or stopped — folding resumes the moment the worker
-  /// has written its copy. Bit-for-bit equal to QueryEngine::snapshot at the
-  /// same boundary for linear kernels (see engine_api.hpp).
-  using Engine::snapshot;
-  [[nodiscard]] EngineSnapshot snapshot(std::string_view query_name,
-                                        Nanos now) override;
-
-  /// Federation export (contract in engine_api.hpp): mid-run it reaches the
-  /// record boundary with the same in-band snapshot rendezvous as snapshot()
-  /// and exports the merged clone; after finish() it reads the final
-  /// concurrent backing store directly.
+  /// The engine read (contract in engine_api.hpp), mid-run without stopping
+  /// the pipeline: an in-band snapshot marker is broadcast at the current
+  /// record boundary (seq 2·records); each worker, on merging past it, hands
+  /// its pending evictions to the merge thread and copies its slice of the
+  /// query's live cache; the caller waits for the copies and the eviction
+  /// drain, then merges the copies over the concurrent store's export
+  /// (kv::ExportOverlay). Folding resumes the moment a worker has written
+  /// its copy. After finish() it reads the final concurrent store directly.
   [[nodiscard]] kv::StoreExport export_store(std::string_view query_name,
                                              Nanos now) override;
 
   /// Dynamic attach/detach without stopping the pipeline's threads
-  /// (lifecycle contract in engine_api.hpp). Both quiesce the pipeline at
+  /// (lifecycle contract in engine_api.hpp). Attach quiesces the pipeline at
   /// the current record boundary with an in-band barrier (the snapshot
   /// rendezvous machinery, minus the cache copy), so the per-shard topology
-  /// vectors can grow (attach) or a slot's structures can be freed (detach)
-  /// with nothing in flight; folding resumes on the next batch. The tenant
-  /// gets a bucket slice per shard (geometry.num_buckets must divide by
-  /// num_shards) and its own ShardedBackingStore. Detach flushes the
-  /// tenant's slices from the caller, drains the eviction queues, and frees
-  /// the slot in place (indices of resident queries never move).
+  /// vectors can grow with nothing in flight; folding resumes on the next
+  /// batch. The tenant gets a bucket slice per shard (geometry.num_buckets
+  /// must divide by num_shards) and its own ShardedBackingStore. Detach is
+  /// export_store() at `now` — whose rendezvous and drain barrier already
+  /// leave nothing in flight — materialized, then the slot freed in place
+  /// (indices of resident queries never move).
   void attach_query(compiler::CompiledProgram program,
                     const AttachOptions& options) override;
   ResultTable detach_query(std::string_view name, Nanos now) override;
@@ -196,8 +186,8 @@ class ShardedEngine final : public Engine {
 
   /// The concurrent backing store of a switch query. Safe to read mid-run
   /// (locked per sub-store) — the paper's "monitoring applications can pull
-  /// results" while folding continues. Unlike snapshot(), this view lags by
-  /// whatever is cache-resident or still in flight to the merge thread.
+  /// results" while folding continues. Unlike export_store(), this view lags
+  /// by whatever is cache-resident or still in flight to the merge thread.
   [[nodiscard]] const kv::ShardedBackingStore& backing(
       std::string_view query_name) const;
 
@@ -229,9 +219,9 @@ class ShardedEngine final : public Engine {
       kRecord,
       kFlush,
       kSnapshot,
-      /// Attach/detach quiesce marker: the worker pushes its pending
-      /// evictions and acks through `snapshot_ready` (same rendezvous as
-      /// kSnapshot, no cache copy). raw_hash carries the generation.
+      /// Attach quiesce marker: the worker pushes its pending evictions and
+      /// acks through `snapshot_ready` (same rendezvous as kSnapshot, no
+      /// cache copy). raw_hash carries the generation.
       kBarrier,
       kWatermark,
       kStop
@@ -262,10 +252,10 @@ class ShardedEngine final : public Engine {
     std::vector<TaggedEviction> evict_buf;  ///< worker-local staging
     /// Snapshot rendezvous: the worker writes a non-destructive copy of the
     /// requested query's resident entries here, then publishes the
-    /// generation through
-    /// `snapshot_ready` (release); the caller spins on it (acquire). Only
-    /// ever touched between those two fences, so no lock is needed.
-    std::vector<TaggedEviction> snapshot_out;
+    /// generation through `snapshot_ready` (release); the caller spins on it
+    /// (acquire), merges the copy into its export and releases it. Only ever
+    /// touched between those two fences, so no lock is needed.
+    std::vector<kv::EvictedValue> snapshot_out;
     alignas(kCacheLineBytes) std::atomic<std::uint64_t> snapshot_ready{0};
     /// Eviction flow accounting for the snapshot's drain barrier: the worker
     /// counts evictions handed to the MPSC queue, the merge thread counts
@@ -407,23 +397,15 @@ class ShardedEngine final : public Engine {
   /// The batch-dispatch body of process_batch (which wraps it in the
   /// poisoned-state machinery).
   void process_batch_impl(std::span<const PacketRecord> records);
-  /// Steps 1-4 of the mid-run snapshot: rendezvous at the record boundary,
-  /// drain evictions, overlay every shard's cache copy on a clone of the
-  /// concurrent store. Shared by snapshot and export_store.
-  [[nodiscard]] std::unique_ptr<kv::ShardedBackingStore> snapshot_merged_store(
-      std::size_t query, Nanos now);
   /// Broadcast a kSnapshot/kBarrier marker for `query` at the current
   /// record boundary through the caller's rings and wait for every worker's
   /// ack (a kSnapshot ack means its cache copy is in snapshot_out).
   void rendezvous(ShardMsg::Kind kind, std::size_t query, Nanos now,
                   const char* what);
-  /// Quiesce at the current record boundary: broadcast a kBarrier through
-  /// the caller's rings, wait for every worker's ack, then run the eviction
-  /// drain barrier — on return nothing is in flight and the backing stores
-  /// are boundary-exact. Folding resumes with the next dispatched message.
-  /// May record a watchdog fault (callers re-check with throw_if_faulted).
-  void quiesce_pipeline(const char* what);
-  /// The eviction drain barrier alone (pushed == absorbed per shard).
+  /// The eviction drain barrier (pushed == absorbed per shard): after a
+  /// rendezvous, on return nothing is in flight and the backing stores are
+  /// boundary-exact. May record a watchdog fault (callers re-check with
+  /// throw_if_faulted).
   void drain_eviction_barrier(const char* what);
   /// Send final kFlush (optionally) + kStop through every ring (helpers
   /// push their own on exit) and join all threads. `watchdog` guards the
@@ -463,8 +445,8 @@ class ShardedEngine final : public Engine {
   /// watchdog expiry) wins the resident layer's fault slot, raises stop_,
   /// and poisons the engine — see engine_fault.hpp and the "Failure
   /// semantics" notes in engine_api.hpp. The pipeline threads never take
-  /// the topology lock: attach/detach mutate per-slot state only after the
-  /// quiesce barrier proves nothing is in flight.
+  /// the topology lock: attach/detach mutate per-slot state only after a
+  /// rendezvous and drain barrier prove nothing is in flight.
   std::atomic<bool> stop_{false};
   /// Merge-thread absorb sweep latency (single writer: the merge thread).
   obs::LatencyHistogram absorb_ns_;

@@ -212,6 +212,37 @@ TEST(MetricsExactness, MidRunReadsAreMonotoneAndQuiescentExact) {
   engine->finish(11_s);
 }
 
+TEST(MetricsExactness, OnePullPerMidRunExportOnEveryEngine) {
+  // snapshots / snapshot_ns count mid-run exports — snapshot() is one, a
+  // bare export_store() is one, a post-finish export is none — identically
+  // on every engine.
+  constexpr std::uint64_t kSnapshots = 3;
+  constexpr std::uint64_t kExports = 2;
+  const auto records = test_workload();
+  const std::span<const PacketRecord> span(records);
+  for (const Topology& topo : kTopologies) {
+    SCOPED_TRACE(topo.name);
+    auto engine = build_count_engine(
+        topo, kv::CacheGeometry::set_associative(64, 4));
+    engine->process_batch(span.first(span.size() / 2));
+    for (std::uint64_t i = 0; i < kSnapshots; ++i) {
+      (void)engine->snapshot("result", 5_s);
+    }
+    engine->process_batch(span.subspan(span.size() / 2));
+    for (std::uint64_t i = 0; i < kExports; ++i) {
+      (void)engine->export_store("result", 10_s);
+    }
+    engine->finish(11_s);
+    (void)engine->export_store("result", 11_s);
+
+    const EngineMetrics m = engine->metrics();
+    EXPECT_EQ(m.snapshots, kSnapshots + kExports);
+    if (obs::kTelemetryEnabled) {
+      EXPECT_EQ(m.snapshot_ns.count, kSnapshots + kExports);
+    }
+  }
+}
+
 // ---- ingest / replay accounting ---------------------------------------------
 
 TEST(MetricsIngest, RecordIngestAccumulatesAcrossFeeds) {

@@ -261,6 +261,50 @@ TEST_F(FaultTest, SnapshotWorkerDeathFailsTheSnapshotCall) {
   expect_poisoned(engine, "snapshot worker death");
 }
 
+/// A sharded engine with a switch tenant "t" attached after 200 records and
+/// fed 300 more, ready for a detach.
+std::unique_ptr<ShardedEngine> engine_with_tenant(
+    const ShardedEngineConfig& config, std::span<const PacketRecord> records) {
+  auto engine = std::make_unique<ShardedEngine>(
+      compiler::compile_source("R1 = SELECT COUNT GROUPBY srcip"), config);
+  engine->process_batch(records.first(200));
+  AttachOptions options;
+  options.name = "t";
+  engine->attach_query(compiler::compile_source("SELECT COUNT GROUPBY dstip"),
+                       options);
+  engine->process_batch(records.subspan(200, 300));
+  return engine;
+}
+
+TEST_F(FaultTest, SnapshotWorkerDeathFailsTheDetachCall) {
+  if (!failpoint::compiled_in()) {
+    GTEST_SKIP() << "built without PERFQ_FAILPOINTS";
+  }
+  // Sharded detach is an export, so it crosses the snapshot rendezvous: a
+  // worker dying there must fail the detach, not hang it or free the slot.
+  const auto records = workload();
+  for (const EngineCase& c : kEngineMatrix) {
+    if (!c.sharded) continue;
+    auto engine =
+        engine_with_tenant(fault_config(c.shards, c.dispatchers), records);
+    failpoint::arm("sharded.snapshot_worker", {});
+    try {
+      (void)engine->detach_query("t", 15_s);
+      ADD_FAILURE() << c.name << ": detach over a dying worker must throw";
+    } catch (const EngineFaultError& fault) {
+      EXPECT_EQ(fault.role(), ThreadRole::kWorker) << c.name;
+      EXPECT_LT(fault.shard(), c.shards) << c.name;
+      EXPECT_NE(fault.cause().find("sharded.snapshot_worker"),
+                std::string::npos)
+          << c.name << ": " << fault.what();
+    }
+    failpoint::disarm_all();
+    expect_poisoned(*engine, std::string(c.name) + " detach worker death");
+    EXPECT_THROW((void)engine->detach_query("t", 16_s), EngineFaultError)
+        << c.name;
+  }
+}
+
 // ---- drain watchdogs (failpoint builds) ------------------------------------
 
 TEST_F(FaultTest, RingStallTripsTheWatchdogWithDiagnostic) {
@@ -327,6 +371,35 @@ TEST_F(FaultTest, SnapshotStallTripsTheWatchdog) {
   }
   failpoint::disarm_all();
   expect_poisoned(engine, "snapshot stall");
+}
+
+TEST_F(FaultTest, SnapshotStallDuringDetachTripsTheWatchdog) {
+  if (!failpoint::compiled_in()) {
+    GTEST_SKIP() << "built without PERFQ_FAILPOINTS";
+  }
+  // The detach's export stalls in the snapshot rendezvous past the deadline:
+  // the watchdog must fail the detach with its diagnostic dump.
+  failpoint::Spec stall;
+  stall.action = failpoint::Action::kSleep;
+  stall.sleep_ms = 300;
+  stall.count = 1;
+  ShardedEngineConfig config = fault_config(2, 1);
+  config.drain_timeout = std::chrono::milliseconds{50};
+  const auto records = workload();
+  auto engine = engine_with_tenant(config, records);
+  failpoint::arm("sharded.snapshot_worker", stall);
+  try {
+    (void)engine->detach_query("t", 15_s);
+    FAIL() << "stalled detach rendezvous must trip the watchdog";
+  } catch (const EngineFaultError& fault) {
+    EXPECT_EQ(fault.role(), ThreadRole::kWatchdog);
+    EXPECT_NE(fault.diagnostic().find("pipeline state at watchdog expiry"),
+              std::string::npos)
+        << fault.what();
+  }
+  failpoint::disarm_all();
+  expect_poisoned(*engine, "detach snapshot stall");
+  EXPECT_THROW((void)engine->detach_query("t", 16_s), EngineFaultError);
 }
 
 // ---- always-on poisoned-state coverage (no failpoints needed) --------------

@@ -8,7 +8,10 @@
 // engine must agree with the serial engine at every boundary (its in-band
 // snapshot marker + eviction drain barrier reconstruct the same state from
 // D×N rings, per-shard cache slices and the concurrent backing store), and
-// taking snapshots must not perturb any engine's final results.
+// taking snapshots must not perturb any engine's final results. snapshot()
+// is export_store() materialized, so the export is held to the same oracle —
+// rendered directly and through a one-source federation — and, after
+// finish(), to the final table.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "federation/collector.hpp"
+#include "runtime/collection.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/engine_builder.hpp"
 #include "runtime_test_util.hpp"
@@ -88,8 +93,26 @@ EngineBuilder builder_for(const CorpusEntry& entry, Nanos refresh) {
   return builder;
 }
 
-/// The property: at K record boundaries, every engine's snapshot equals the
-/// fresh-engine-finish oracle over the same prefix, bit for bit.
+const compiler::SwitchQueryPlan& r1_plan(const Engine& engine) {
+  const compiler::CompiledProgram& program = engine.program();
+  return *program.plan_for(program.analysis.query_index("R1"));
+}
+
+/// R1's table rendered straight from one export.
+ResultTable materialize_r1(const Engine& engine, const kv::StoreExport& ex) {
+  return materialize_switch_table(engine.program(), r1_plan(engine), ex);
+}
+
+/// R1's table from a federation of exactly one source: the export.
+ResultTable collect_r1(const Engine& engine, const kv::StoreExport& ex) {
+  federation::Collector collector(engine.program(), r1_plan(engine));
+  collector.add(0, ex);
+  return collector.materialize().table;
+}
+
+/// The property: at K record boundaries, every engine's snapshot — and the
+/// export it materializes — equals the fresh-engine-finish oracle over the
+/// same prefix, bit for bit.
 void run_snapshot_property(const CorpusEntry& entry, Nanos refresh) {
   const auto records = workload();
   const std::span<const PacketRecord> span(records);
@@ -138,6 +161,16 @@ void run_snapshot_property(const CorpusEntry& entry, Nanos refresh) {
       EXPECT_EQ(snap.records, boundary) << context;
       EXPECT_EQ(snap.time, stamp) << context;
       expect_tables_bit_identical(want, snap.table, context);
+
+      // The read snapshot() is built on: the export itself, materialized
+      // directly and through a one-source federation, is the same table.
+      const kv::StoreExport exported = ut.engine->export_store("R1", stamp);
+      EXPECT_EQ(exported.records, boundary) << context;
+      EXPECT_EQ(exported.time, stamp) << context;
+      expect_tables_bit_identical(want, materialize_r1(*ut.engine, exported),
+                                  context + " export");
+      expect_tables_bit_identical(want, collect_r1(*ut.engine, exported),
+                                  context + " one-source collector");
     }
   }
 
@@ -153,6 +186,11 @@ void run_snapshot_property(const CorpusEntry& entry, Nanos refresh) {
                                 std::string(entry.name) + "/" + ut.label +
                                     " post-snapshot finish");
     EXPECT_EQ(ut.engine->refresh_count(), reference->refresh_count());
+    // After finish() the export is the final backing store as is.
+    expect_tables_bit_identical(
+        ut.engine->table("R1"),
+        materialize_r1(*ut.engine, ut.engine->export_store("R1", 12_s)),
+        std::string(entry.name) + "/" + ut.label + " post-finish export");
   }
 }
 

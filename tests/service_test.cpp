@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "obs/metrics_export.hpp"
+#include "runtime/collection.hpp"
 #include "runtime/engine_builder.hpp"
 #include "runtime_test_util.hpp"
 #include "service/line_protocol.hpp"
@@ -214,7 +215,17 @@ void run_attach_oracle(const char* tenant_source, Topology topo,
     // Neighbor-detach non-perturbation, observed live: the base query's
     // snapshot is bit-identical just before and just after the detach.
     const EngineSnapshot before = engine->snapshot("BASE", end);
+    // Detach is an export at `end`, materialized: the tenant's export taken
+    // just before it renders the detached table.
+    const kv::StoreExport last = engine->export_store("tenant", end);
     tenant_table = engine->detach_query("tenant", end);
+    const compiler::CompiledProgram tenant_program =
+        compiler::compile_source(tenant_source, kParams);
+    expect_tables_bit_identical(
+        tenant_table,
+        materialize_switch_table(tenant_program,
+                                 tenant_program.switch_plans.front(), last),
+        context + " export before detach");
     const EngineSnapshot after = engine->snapshot("BASE", end);
     expect_tables_bit_identical(before.table, after.table,
                                 context + " base around detach");
